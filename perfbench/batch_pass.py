@@ -1,17 +1,16 @@
-"""One cold pass of a batch workload, in a fresh interpreter.
+"""One cold pass of the ``paper_cold`` workload, in a fresh interpreter.
 
 Usage (started by ``run.py``; the repository's ``src`` and this directory
 must be on ``PYTHONPATH``)::
 
-    python3 perfbench/batch_pass.py --workload paper_cold --seed 1 \\
-        --store DIR --spawned-at EPOCH --out result.json [--trace SPANS.json]
+    python3 perfbench/batch_pass.py --seed 1 --store DIR \\
+        --spawned-at EPOCH --out result.json [--trace SPANS.json]
 
-``paper_cold`` runs Figs. 1–8 plus Table I through one
-``Session.run_all`` over the (new, empty) store ``DIR``; ``grape_sweep``
-runs the GRAPE sweeps through one ``Session`` without a store.  The pass
-writes its timings, payload digests, counters and check results to
-``--out``; with ``--trace`` it also records layer spans, writes them to
-the given file and reduces them to the per-layer metrics.
+The pass runs Figs. 1–8 plus Table I through one ``Session.run_all`` over
+the (new, empty) store ``DIR``.  It writes its timings, payload digests,
+counters and check results to ``--out``; with ``--trace`` it also records
+layer spans, writes them to the given file and reduces them to the
+per-layer metrics.
 """
 
 from __future__ import annotations
@@ -24,15 +23,14 @@ import time
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", choices=("paper_cold", "grape_sweep"), required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--store", default=None)
+    parser.add_argument("--store", required=True)
     parser.add_argument("--spawned-at", type=float, required=True)
     parser.add_argument("--out", required=True)
     parser.add_argument("--trace", metavar="SPANS", default=None)
     args = parser.parse_args(argv)
 
-    from repro.session import ExperimentResult, Session
+    from repro.session import Session
 
     import checks
     import workloads
@@ -42,14 +40,9 @@ def main(argv=None) -> int:
         import layers
         import tracing
 
-        tracer = tracing.Tracer(run_id=f"{args.workload}-{args.seed}")
+        tracer = tracing.Tracer(run_id=f"paper_cold-{args.seed}")
         tracing.install_layer_wrappers(tracer)
-    if args.workload == "paper_cold":
-        specs = workloads.paper_specs(args.seed)
-        concrete = specs
-    else:
-        specs = workloads.sweep_specs(args.seed)
-        concrete = [child for sweep in specs for child in sweep.expand()]
+    specs = workloads.paper_specs(args.seed)
     session = Session(store=args.store, num_workers=1)
     setup_s = time.time() - args.spawned_at
 
@@ -61,39 +54,22 @@ def main(argv=None) -> int:
     session.close()
 
     # a job's result is visible when the call returns its trace's end
-    latencies = []
-    for spec, result in zip(specs, results):
-        trace = result.provenance["trace"]
-        ready = trace["started_at"] + trace["duration_s"] - start_epoch
-        points = len(spec) if spec.is_container else 1
-        latencies += [ready] * points
-    inspected = checks.inspect(
-        item for result in results for item in checks.concrete_results(result.kind, result.payload)
-    )
-    stats = session.stats_snapshot()
-    store_stats = session.store.stats if session.store is not None else {}
-    disk = session.store.disk_stats() if session.store is not None else {}
-    grape_results = {
-        (payload["fid_err"], payload["n_iter"])
+    latencies = [
+        result.provenance["trace"]["started_at"] + result.provenance["trace"]["duration_s"]
+        - start_epoch
         for result in results
-        for kind, payload in checks.concrete_results(result.kind, result.payload)
-        if kind == "grape"
-    }
+    ]
+    inspected = checks.inspect((result.kind, result.payload) for result in results)
+    stats = session.stats_snapshot()
+    store_stats = session.store.stats
+    disk = session.store.disk_stats()
     out = {
         "setup_s": setup_s,
         "wall_s": wall_s,
         "latencies_s": latencies,
         "n_jobs": len(latencies),
-        # a sweep's own payload embeds its children's run timings, so the
-        # digests cover the concrete (per-point) payloads
-        "digests": [
-            ExperimentResult(kind=kind, spec={}, payload=payload).payload_fingerprint()
-            for result in results
-            for kind, payload in checks.concrete_results(result.kind, result.payload)
-        ],
-        "unique_specs": len({spec.fingerprint() for spec in concrete}),
-        "grape_points": sum(1 for spec in concrete if spec.kind == "grape"),
-        "distinct_grape_results": len(grape_results),
+        "digests": [result.payload_fingerprint() for result in results],
+        "unique_specs": len({spec.fingerprint() for spec in specs}),
         "session_stats": stats,
         "store_stats": store_stats,
         "group2_prep_s": session.prep_timings.get(("group", 2), 0.0),

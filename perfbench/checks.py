@@ -10,15 +10,6 @@ import numpy as np
 FINITE_FIELDS = ("gate_error", "custom_channel_error", "default_channel_error", "fid_err")
 
 
-def concrete_results(kind: str, payload: dict):
-    """``(kind, payload)`` of a result and, for sweeps, of every child."""
-    if "children" in payload:
-        for child in payload["children"]:
-            yield from concrete_results(child["spec"]["kind"], child["payload"])
-    else:
-        yield kind, payload
-
-
 def inspect(results) -> dict:
     """Finiteness failures and the two layer counts over ``(kind, payload)``.
 

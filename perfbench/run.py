@@ -11,16 +11,13 @@ Workloads (inputs generated from ``--seed`` only):
     through one ``Session.run_all`` with ``num_workers=1`` over a new, empty
     on-disk store.  Every pass runs in a fresh interpreter, so the
     process-wide Clifford-group caches start empty.
-``grape_sweep``
-    Three GRAPE ``SweepSpec`` s through one ``Session`` without a store:
-    24 closed-system 1q points (stacked batch path), 4 closed-system CX
-    points and 4 open-system 1q points (per-point path).  Fresh
-    interpreter per pass.
 ``service_mixed``
     An ``ExperimentService`` daemon in its own process (thread mode, 2
     workers, open auth, fresh store) primed with the Figs. 3–5 specs,
     then a closed loop of 2 client threads: three cache hits, then one
-    miss (a new 1q RB/IRB seed), repeated.
+    miss (a new 1q RB/IRB seed), repeated.  Each job polls its status at
+    its own interval between 2 and 8 ms (a fixed sequence), so job latency
+    does not jump by a whole poll interval when the service slows a little.
 
 End-to-end metrics (``--trace 0``), each printed with its unit:
 
@@ -29,8 +26,8 @@ End-to-end metrics (``--trace 0``), each printed with its unit:
   priming (median over several fresh daemons).
 * ``wall_s`` — median wall clock of one pass; for ``service_mixed`` the
   median time to complete 100 jobs.
-* ``jobs_per_s`` — specs (sweep points) of one pass over the median pass
-  wall clock; jobs completed per second of load for ``service_mixed``.
+* ``jobs_per_s`` — specs of one pass over the median pass wall clock;
+  jobs completed per second of load for ``service_mixed``.
 * ``latency_p50_s`` / ``latency_p99_s`` — per job: from submission to
   the caller seeing its result.  For batch passes a job's latency runs
   from the start of ``run_all`` to the end of its trace, the percentiles
@@ -68,7 +65,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-WORKLOADS = ("paper_cold", "grape_sweep", "service_mixed")
+WORKLOADS = ("paper_cold", "service_mixed")
 E2E_UNITS = {
     "setup_s": "s",
     "wall_s": "s",
@@ -91,9 +88,9 @@ SERVICE_CLIENTS = 2
 SERVICE_MIN_JOBS = 1000
 #: The service load never runs longer than this (seconds).
 SERVICE_MAX_LOAD_S = 90.0
-#: Status poll interval of the service clients (the client default of
-#: 0.2 s would quantize latency to 200 ms).
-POLL_S = 0.005
+#: Range of the status poll intervals of the service clients (the client
+#: default of 0.2 s would quantize latency to 200 ms).
+POLL_S = (0.002, 0.008)
 #: Jobs per block of the service's ``wall_s``.
 SERVICE_BLOCK = 100
 
@@ -180,16 +177,14 @@ def environment() -> dict:
 
 
 # --------------------------------------------------------------------------- #
-# batch workloads: paper_cold, grape_sweep
+# batch workload: paper_cold
 # --------------------------------------------------------------------------- #
 def batch_pass(ctx: Context, index: int, traced: bool) -> dict | None:
     """Run one pass in a fresh interpreter; None when it failed."""
     tag = f"{index}{'t' if traced else ''}"
     out = ctx.work / f"pass{tag}.json"
-    cmd = [sys.executable, str(HERE / "batch_pass.py"), "--workload", ctx.workload,
-           "--seed", str(ctx.seed), "--out", str(out)]
-    if ctx.workload == "paper_cold":
-        cmd += ["--store", str(ctx.work / f"store{tag}")]
+    cmd = [sys.executable, str(HERE / "batch_pass.py"), "--seed", str(ctx.seed),
+           "--store", str(ctx.work / f"store{tag}"), "--out", str(out)]
     if traced:
         ctx.traces.mkdir(exist_ok=True)
         cmd += ["--trace", str(ctx.traces / f"{ctx.workload}-seed{ctx.seed}-pass{index}.json")]
@@ -218,16 +213,10 @@ def check_batch_pass(ctx: Context, result: dict | None, reference: dict | None) 
     executions = result["session_stats"].get("executions", 0)
     if executions != result["unique_specs"]:
         problems.append(f"executions {executions} != unique specs {result['unique_specs']}")
-    if ctx.workload == "paper_cold":
-        if not result["group2_prep_s"] > 0:
-            problems.append("2q Clifford group was not built cold")
-        if result["store_stats"].get("groups", {}).get("writes", 0) < 1:
-            problems.append("no groups store write")
-    elif result["distinct_grape_results"] != result["grape_points"]:
-        problems.append(
-            f"{result['distinct_grape_results']} distinct GRAPE results"
-            f" for {result['grape_points']} points"
-        )
+    if not result["group2_prep_s"] > 0:
+        problems.append("2q Clifford group was not built cold")
+    if result["store_stats"].get("groups", {}).get("writes", 0) < 1:
+        problems.append("no groups store write")
     if reference is not None and result["digests"] != reference["digests"]:
         problems.append("payload digests differ between passes")
     ctx.tally.add(n_jobs, n_jobs if problems else 0, "; ".join(problems) or None)
@@ -235,7 +224,7 @@ def check_batch_pass(ctx: Context, result: dict | None, reference: dict | None) 
 
 
 def run_batch(ctx: Context) -> dict:
-    """Timed (or alternating untraced/traced) passes of a batch workload."""
+    """Timed (or alternating untraced/traced) passes of ``paper_cold``."""
     plain, traced = [], []
     reference = None
     start = time.monotonic()
@@ -354,12 +343,19 @@ def recording_client(url: str):
     return RecordingClient(url)
 
 
+def poll_interval(k: int) -> float:
+    """Status poll interval of job ``k``: spread evenly over ``POLL_S``."""
+    low, high = POLL_S
+    return low + (high - low) * (k * 0.6180339887498949 % 1.0)
+
+
 def prime(url: str, pool: list) -> dict:
     """Run the pool specs through the daemon; spec fingerprint → payload digest."""
     client = recording_client(url)
     ids = [client.submit(spec) for spec in pool]
     return {
-        spec.fingerprint(): client.result(job_id, timeout=STEP_TIMEOUT_S, poll_s=POLL_S).payload_fingerprint()
+        spec.fingerprint(): client.result(job_id, timeout=STEP_TIMEOUT_S,
+                                          poll_s=POLL_S[0]).payload_fingerprint()
         for spec, job_id in zip(pool, ids)
     }
 
@@ -388,7 +384,8 @@ def closed_loop(ctx: Context, url: str, job, counter: list, primed: dict,
             c0 = time.time()
             t0 = time.perf_counter()
             try:
-                result = client.result(client.submit(spec), timeout=STEP_TIMEOUT_S, poll_s=POLL_S)
+                result = client.result(client.submit(spec), timeout=STEP_TIMEOUT_S,
+                                       poll_s=poll_interval(k))
             except Exception as exc:  # noqa: BLE001 - every job failure is counted, not raised
                 ctx.tally.add(1, 1, f"job {k}: {type(exc).__name__}: {exc}")
                 continue
@@ -401,7 +398,7 @@ def closed_loop(ctx: Context, url: str, job, counter: list, primed: dict,
                 problems.append("hit payload differs from the primed result")
             if hit != result.cache_hit:
                 problems.append(f"cache_hit={result.cache_hit} for a {'hit' if hit else 'miss'}")
-            inspected = checks.inspect(checks.concrete_results(result.kind, result.payload))
+            inspected = checks.inspect([(result.kind, result.payload)])
             if inspected["nonfinite_fields"]:
                 problems.append(f"non-finite outputs: {inspected['nonfinite_fields']}")
             ctx.tally.add(1, 1 if problems else 0, f"job {k}: {'; '.join(problems)}" if problems else None)

@@ -28,69 +28,6 @@ def paper_specs(seed: int) -> list:
     return specs
 
 
-def _spread(rng, lo: float, hi: float, n: int, decimals: int = 4) -> tuple:
-    """``n`` distinct values, one drawn from each of ``n`` equal strata."""
-    width = (hi - lo) / n
-    return tuple(round(lo + width * (k + rng.uniform(0.1, 0.9)), decimals) for k in range(n))
-
-
-def _near(rng, nominal: tuple, jitter: float, decimals: int = 1) -> tuple:
-    """Each nominal value moved by a seed-drawn offset within ``±jitter``."""
-    return tuple(round(v + rng.uniform(-jitter, jitter), decimals) for v in nominal)
-
-
-def sweep_specs(seed: int) -> list:
-    """Three GRAPE sweeps whose grids change the optimization itself.
-
-    The grids vary the initial amplitude scale, the gate duration and the
-    slot count — never ``GRAPESpec.seed`` alone, which DRAG and
-    GaussianSquare initial pulses ignore.  The seed moves every value
-    within a narrow band around a fixed nominal grid, so each seed gives
-    distinct optimizations of nearly the same cost.
-
-    * 24 closed-system 1q points (X and √X): batchable groups of 6, which
-      take the stacked ``grape_batch`` path; capped at 20 iterations, which
-      nearly every point reaches, so their cost hardly depends on the seed;
-    * 4 closed-system CX points (pairs share a duration and batch);
-    * 4 open-system 1q X points, which take the per-point path.
-    """
-    from repro.session import GRAPESpec, SweepSpec
-
-    rng = np.random.default_rng(seed)
-    one_qubit = SweepSpec(
-        base=GRAPESpec(
-            device="montreal", gate="x", qubits=(0,), include_decoherence=False, max_iter=20,
-        ),
-        grid=(
-            ("gate", ("x", "sx")),
-            ("init_pulse_scale", _spread(rng, 0.22, 0.28, 3)),
-            ("duration_ns", _near(rng, (100.0, 140.0), 2.5)),
-            ("n_ts", (10, 13 + int(rng.integers(0, 2)))),
-        ),
-    )
-    cx = SweepSpec(
-        base=GRAPESpec(
-            device="montreal", gate="cx", qubits=(0, 1), n_ts=20, optimizer_levels=2,
-            init_pulse_type="GAUSSIAN_SQUARE", max_iter=120,
-        ),
-        grid=(
-            ("init_pulse_scale", _spread(rng, 0.09, 0.11, 2)),
-            ("duration_ns", _near(rng, (1000.0, 1200.0), 10.0)),
-        ),
-    )
-    open_system = SweepSpec(
-        base=GRAPESpec(
-            device="montreal", gate="x", qubits=(0,), n_ts=12, include_decoherence=True,
-            max_iter=120,
-        ),
-        grid=(
-            ("init_pulse_scale", _spread(rng, 0.22, 0.28, 2)),
-            ("duration_ns", _near(rng, (100.0, 140.0), 2.5)),
-        ),
-    )
-    return [one_qubit, cx, open_system]
-
-
 def service_prime_specs(seed: int) -> list:
     """The 1q paper specs (Figs. 3–5: GRAPE, custom IRB, default IRB)."""
     from repro.experiments import figures
