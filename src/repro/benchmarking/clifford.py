@@ -7,10 +7,11 @@ gates.
 
 Both groups are built once (and cached) by breadth-first search over a
 generating set (H and S on each qubit, plus CNOTs for two qubits), storing
-for every element a word of generator gates that produces it.  Matrices are
-compared up to global phase via a canonical phase normalization, so the
-search enumerates the Clifford group modulo phase — 24 elements for one
-qubit and 11520 for two qubits, the standard counts.
+for every element a word of generator gates that produces it.  The search
+runs on packed symplectic tableaux (:mod:`repro.benchmarking.tableau`), whose
+integer keys identify a Clifford modulo global phase, so it enumerates the
+group modulo phase — 24 elements for one qubit and 11520 for two qubits, the
+standard counts.  Element matrices are then replayed from the words.
 
 Generator words found by BFS are short for one qubit (≤ 5 gates, which the
 transpiler then collapses to at most two ``sx`` pulses plus virtual Z) and
@@ -20,12 +21,18 @@ same order as the hardware-efficient decompositions used by Qiskit's RB.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tableau import CliffordTableauIndex
+from .tableau import (
+    CliffordTableauIndex,
+    generator_tableau,
+    identity_tableau,
+    tableau_compose,
+    tableau_from_unitary,
+    tableau_key,
+)
 from ..circuits.circuit import QuantumCircuit
 from ..qobj.gates import cx_gate, hadamard, s_gate
 from ..utils.seeding import default_rng
@@ -39,18 +46,6 @@ _GATE_NAMES = {v: k for k, v in _GATE_IDS.items()}
 
 #: Expected group orders (modulo phase) used as safety checks.
 _EXPECTED_ORDER = {1: 24, 2: 11520}
-
-
-def _phase_normalize(matrix: np.ndarray, decimals: int = 6) -> bytes:
-    """Canonical byte-key of a unitary up to global phase."""
-    m = np.asarray(matrix, dtype=complex)
-    flat = m.ravel()
-    # first entry with non-negligible magnitude defines the phase reference
-    idx = int(np.argmax(np.abs(flat) > 1e-7))
-    ref = flat[idx]
-    normalized = m * (np.conj(ref) / abs(ref))
-    rounded = np.round(normalized, decimals) + 0.0  # +0.0 kills negative zeros
-    return rounded.tobytes()
 
 
 @dataclass(frozen=True)
@@ -80,50 +75,35 @@ class CliffordGroup:
     """The n-qubit Clifford group (n = 1 or 2) with native-gate words."""
 
     def __init__(self, n_qubits: int):
-        if n_qubits not in (1, 2):
-            raise ValidationError(f"CliffordGroup supports 1 or 2 qubits, got {n_qubits}")
-        self.n_qubits = n_qubits
-        self._elements: list[CliffordElement] = []
-        self._key_to_index: dict[bytes, int] = {}
-        self._tableau_index: CliffordTableauIndex | None = None
-        self._build()
+        _check_qubit_count(n_qubits)
+        words, tableaux = _enumerate(n_qubits)
+        triples, offsets = _pack_words(words)
+        self._assemble(
+            n_qubits,
+            words,
+            _matrices_from_words(n_qubits, triples, offsets),
+            CliffordTableauIndex(n_qubits, tableaux),
+        )
 
-    # ------------------------------------------------------------------ #
-    # construction
-    # ------------------------------------------------------------------ #
-    def _generators(self) -> list[tuple[tuple[str, tuple[int, ...]], np.ndarray]]:
-        return _generator_list(self.n_qubits)
-
-    def _build(self) -> None:
-        dim = 2**self.n_qubits
-        identity = np.eye(dim, dtype=complex)
-        generators = self._generators()
-        start = CliffordElement(index=0, word=(), matrix=identity)
-        self._elements = [start]
-        self._key_to_index = {_phase_normalize(identity): 0}
-        queue: deque[int] = deque([0])
-        while queue:
-            idx = queue.popleft()
-            base = self._elements[idx]
-            for gate, gen_matrix in generators:
-                new_matrix = gen_matrix @ base.matrix
-                key = _phase_normalize(new_matrix)
-                if key in self._key_to_index:
-                    continue
-                element = CliffordElement(
-                    index=len(self._elements),
-                    word=base.word + (gate,),
-                    matrix=new_matrix,
-                )
-                self._key_to_index[key] = element.index
-                self._elements.append(element)
-                queue.append(element.index)
-        expected = _EXPECTED_ORDER[self.n_qubits]
-        if len(self._elements) != expected:
+    def _assemble(
+        self,
+        n_qubits: int,
+        words: list[tuple[tuple[str, tuple[int, ...]], ...]],
+        matrices: np.ndarray,
+        tableau_index: CliffordTableauIndex,
+    ) -> None:
+        expected = _EXPECTED_ORDER[n_qubits]
+        if len(words) != expected or len(tableau_index) != expected:
             raise ValidationError(
-                f"Clifford group construction produced {len(self._elements)} elements, "
-                f"expected {expected}"
+                f"Clifford group construction produced {len(words)} words and "
+                f"{len(tableau_index)} tableaux, expected {expected}"
             )
+        self.n_qubits = n_qubits
+        self._elements = [
+            CliffordElement(index=i, word=word, matrix=matrices[i])
+            for i, word in enumerate(words)
+        ]
+        self._tableau_index = tableau_index
 
     # ------------------------------------------------------------------ #
     # queries
@@ -152,14 +132,24 @@ class CliffordGroup:
 
     def lookup(self, matrix: np.ndarray) -> CliffordElement:
         """Find the group element equal to ``matrix`` up to global phase."""
-        key = _phase_normalize(matrix)
-        if key not in self._key_to_index:
+        index = self._index_of_unitary(matrix)
+        if index is None:
             raise ValidationError("matrix is not an element of the Clifford group")
-        return self._elements[self._key_to_index[key]]
+        return self._elements[index]
 
     def contains(self, matrix: np.ndarray) -> bool:
         """Whether ``matrix`` is a Clifford (up to global phase)."""
-        return _phase_normalize(matrix) in self._key_to_index
+        return self._index_of_unitary(matrix) is not None
+
+    def _index_of_unitary(self, matrix: np.ndarray) -> int | None:
+        try:
+            tableau = tableau_from_unitary(matrix)
+        except ValidationError:
+            return None
+        # a tableau key does not encode its qubit count
+        if tableau.n != self.n_qubits:
+            return None
+        return self._tableau_index.index_of_tableau(tableau)
 
     def compose(self, first: CliffordElement, second: CliffordElement) -> CliffordElement:
         """Group element of ``second ∘ first`` (``first`` applied first)."""
@@ -170,60 +160,22 @@ class CliffordGroup:
         return self._elements[self.inverse_index(element.index)]
 
     def tableau_index(self) -> CliffordTableauIndex:
-        """The group's symplectic-tableau index (built once, cached).
+        """The group's symplectic-tableau index.
 
         Maps every element to its packed tableau so composition and
         inversion are integer arithmetic plus a dict lookup — no ``2^n``
-        matrix products.  Restored from persisted arrays when the group is
-        loaded through :func:`clifford_group` with a store.
+        matrix products.
         """
-        if self._tableau_index is None:
-            self._tableau_index = CliffordTableauIndex.from_group(self)
         return self._tableau_index
 
     def compose_index(self, first: int, second: int) -> int:
-        """Index of ``second ∘ first`` by element index.
-
-        For the single-qubit group the full 24×24 multiplication table is
-        built once and composition becomes an integer lookup — the RB engine
-        composes tens of thousands of elements per experiment, so this path
-        avoids the matrix-product-plus-hash lookup entirely.  The two-qubit
-        group (11520 elements) composes symplectic tableaux instead
-        (see :mod:`repro.benchmarking.tableau`) — pure integer arithmetic,
-        roughly 5× faster than the 4×4 matrix-product-plus-hash path it
-        replaced, and independent of the element matrices.
-        """
-        if self.n_qubits == 1:
-            table = self._compose_table()
-            return int(table[first, second])
-        return self.tableau_index().compose_index(first, second)
+        """Index of ``second ∘ first`` by element index (see
+        :meth:`CliffordTableauIndex.compose_index`)."""
+        return self._tableau_index.compose_index(first, second)
 
     def inverse_index(self, index: int) -> int:
         """Index of the group inverse by element index."""
-        if self.n_qubits == 1:
-            table = self._inverse_table()
-            return int(table[index])
-        return self.tableau_index().inverse_index(index)
-
-    def _compose_table(self) -> np.ndarray:
-        table = getattr(self, "_compose_table_cache", None)
-        if table is None:
-            n = len(self._elements)
-            table = np.empty((n, n), dtype=np.int32)
-            for i, a in enumerate(self._elements):
-                for j, b in enumerate(self._elements):
-                    table[i, j] = self.lookup(b.matrix @ a.matrix).index
-            self._compose_table_cache = table
-        return table
-
-    def _inverse_table(self) -> np.ndarray:
-        table = getattr(self, "_inverse_table_cache", None)
-        if table is None:
-            table = np.array(
-                [self.lookup(e.matrix.conj().T).index for e in self._elements], dtype=np.int32
-            )
-            self._inverse_table_cache = table
-        return table
+        return self._tableau_index.inverse_index(index)
 
     # ------------------------------------------------------------------ #
     # circuit output
@@ -263,103 +215,124 @@ class CliffordGroup:
     # ------------------------------------------------------------------ #
     # persistence (consumed by repro.benchmarking.store)
     # ------------------------------------------------------------------ #
-    def to_arrays(self, include_matrices: bool = False) -> dict[str, np.ndarray]:
+    def to_arrays(self) -> dict[str, np.ndarray]:
         """Flatten the enumerated group into plain arrays.
 
         The payload (generator words as packed int triples, tableau
         rows/phases) is everything needed to rebuild the group without
         re-running the breadth-first enumeration; it is what
         :class:`~repro.benchmarking.store.CliffordChannelStore` persists so
-        warm sessions skip the ~2 s two-qubit BFS.  Element matrices are
-        **omitted by default** — they dominated the persisted two-qubit
-        file (~2.9 MB of ~3 MB) and :meth:`from_arrays` re-derives them
-        bit-identically from the words (see
-        :func:`_matrices_from_words`).
-
-        Parameters
-        ----------
-        include_matrices : bool
-            Also emit the ``matrices`` stack (the pre-slimming format,
-            still accepted by :meth:`from_arrays` for old store files).
+        warm sessions skip the two-qubit search.  Element matrices are not
+        part of it: :meth:`from_arrays` re-derives them bit-identically from
+        the words (see :func:`_matrices_from_words`).
 
         Returns
         -------
         dict of str to ndarray
             ``words`` (total_gates, 3) int8 ``(gate_id, q0, q1)`` triples,
-            ``word_offsets`` (N+1,) int32, ``tableau_rows`` /
-            ``tableau_phases`` (N, 2n) uint8, and — only with
-            ``include_matrices`` — ``matrices`` (N, d, d) complex.
+            ``word_offsets`` (N+1,) int32 and ``tableau_rows`` /
+            ``tableau_phases`` (N, 2n) uint8.
         """
-        triples: list[tuple[int, int, int]] = []
-        offsets = [0]
-        for element in self._elements:
-            for name, qubits in element.word:
-                q0 = qubits[0]
-                q1 = qubits[1] if len(qubits) > 1 else -1
-                triples.append((_GATE_IDS[name], q0, q1))
-            offsets.append(len(triples))
-        rows, phases = self.tableau_index().to_arrays()
-        arrays = {
-            "words": np.array(triples, dtype=np.int8).reshape(-1, 3),
-            "word_offsets": np.array(offsets, dtype=np.int32),
+        triples, offsets = _pack_words([e.word for e in self._elements])
+        rows, phases = self._tableau_index.to_arrays()
+        return {
+            "words": triples,
+            "word_offsets": offsets,
             "tableau_rows": rows,
             "tableau_phases": phases,
         }
-        if include_matrices:
-            arrays["matrices"] = np.stack([e.matrix for e in self._elements])
-        return arrays
 
     @classmethod
     def from_arrays(cls, n_qubits: int, arrays: dict[str, np.ndarray]) -> "CliffordGroup":
         """Rebuild an enumerated group from :meth:`to_arrays` output.
 
-        Skips the breadth-first search entirely: elements, the
-        phase-normalized lookup dictionary and the tableau index are all
-        restored from the arrays.  Slim payloads (the default
-        :meth:`to_arrays` output) carry no ``matrices`` entry — the element
-        matrices are re-derived from the words, bit-identical to the eager
-        enumeration; payloads from older store files that still embed the
-        matrices are used as-is.
+        Skips the breadth-first search entirely: words and tableaux are
+        restored from the arrays and the element matrices are re-derived
+        from the words, bit-identical to the eager enumeration.
         """
-        if n_qubits not in (1, 2):
-            raise ValidationError(f"CliffordGroup supports 1 or 2 qubits, got {n_qubits}")
-        group = cls.__new__(cls)
-        group.n_qubits = n_qubits
-        triples = np.asarray(arrays["words"], dtype=np.int64)
+        _check_qubit_count(n_qubits)
         offsets = np.asarray(arrays["word_offsets"], dtype=np.int64)
         expected = _EXPECTED_ORDER[n_qubits]
         if len(offsets) != expected + 1:
             raise ValidationError(
                 f"group arrays describe {len(offsets) - 1} elements, expected {expected}"
             )
-        if "matrices" in arrays:
-            matrices = np.ascontiguousarray(arrays["matrices"], dtype=complex)
-        else:
-            matrices = _matrices_from_words(n_qubits, arrays["words"], offsets)
-        if matrices.shape[0] != expected:
-            raise ValidationError(
-                f"group arrays carry {matrices.shape[0]} matrices, expected {expected}"
-            )
-        elements: list[CliffordElement] = []
-        for index in range(expected):
-            word = tuple(
+        triples = np.asarray(arrays["words"], dtype=np.int64)
+        words = [
+            tuple(
                 (
                     _GATE_NAMES[int(gate_id)],
                     (int(q0),) if q1 < 0 else (int(q0), int(q1)),
                 )
                 for gate_id, q0, q1 in triples[offsets[index] : offsets[index + 1]]
             )
-            elements.append(CliffordElement(index=index, word=word, matrix=matrices[index]))
-        group._elements = elements
-        group._key_to_index = {
-            _phase_normalize(e.matrix): e.index for e in elements
-        }
-        if len(group._key_to_index) != expected:
-            raise ValidationError("group arrays contain duplicate elements")
-        group._tableau_index = CliffordTableauIndex.from_arrays(
-            n_qubits, arrays["tableau_rows"], arrays["tableau_phases"]
+            for index in range(expected)
+        ]
+        group = cls.__new__(cls)
+        group._assemble(
+            n_qubits,
+            words,
+            _matrices_from_words(n_qubits, arrays["words"], offsets),
+            CliffordTableauIndex.from_arrays(
+                n_qubits, arrays["tableau_rows"], arrays["tableau_phases"]
+            ),
         )
         return group
+
+
+def _check_qubit_count(n_qubits: int) -> None:
+    if n_qubits not in (1, 2):
+        raise ValidationError(f"CliffordGroup supports 1 or 2 qubits, got {n_qubits}")
+
+
+def _enumerate(n_qubits: int) -> tuple[list[tuple], list]:
+    """Breadth-first search of the group over packed tableaux.
+
+    Every new element is ``generator ∘ parent`` for the first parent in BFS
+    order and the first generator in :func:`_generator_list` order that
+    reaches it; elements are deduplicated on :func:`tableau_key`, which is
+    unique per Clifford modulo global phase.
+
+    Returns
+    -------
+    words, tableaux
+        Generator word and tableau of every element, in element-index order.
+    """
+    gates = [gate for gate, _ in _generator_list(n_qubits)]
+    generators = [generator_tableau(name, qubits, n_qubits) for name, qubits in gates]
+    tableaux = [identity_tableau(n_qubits)]
+    words: list[tuple] = [()]
+    seen = {tableau_key(tableaux[0])}
+    parent = 0
+    while parent < len(tableaux):
+        for gate, generator in zip(gates, generators):
+            tableau = tableau_compose(tableaux[parent], generator)
+            key = tableau_key(tableau)
+            if key not in seen:
+                seen.add(key)
+                tableaux.append(tableau)
+                words.append(words[parent] + (gate,))
+        parent += 1
+    return words, tableaux
+
+
+def _pack_words(
+    words: list[tuple[tuple[str, tuple[int, ...]], ...]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Words as ``(total_gates, 3)`` int8 ``(gate_id, q0, q1)`` triples plus
+    ``(N+1,)`` int32 offsets (``q1 = -1`` for single-qubit gates)."""
+    triples: list[tuple[int, int, int]] = []
+    offsets = [0]
+    for word in words:
+        for name, qubits in word:
+            q0 = qubits[0]
+            q1 = qubits[1] if len(qubits) > 1 else -1
+            triples.append((_GATE_IDS[name], q0, q1))
+        offsets.append(len(triples))
+    return (
+        np.array(triples, dtype=np.int8).reshape(-1, 3),
+        np.array(offsets, dtype=np.int32),
+    )
 
 
 def _cx_reversed() -> np.ndarray:
@@ -372,10 +345,8 @@ def _cx_reversed() -> np.ndarray:
 def _generator_list(n_qubits: int) -> list[tuple[tuple[str, tuple[int, ...]], np.ndarray]]:
     """Generator gates ``((name, local_qubits), matrix)`` of the BFS.
 
-    Shared by the breadth-first enumeration and by the lazy
-    matrix-from-words derivation of :meth:`CliffordGroup.from_arrays`: both
-    must multiply the *exact same* float matrices for the derived element
-    matrices to be bit-identical to the eagerly enumerated ones.
+    The order fixes the breadth-first enumeration (and so every word); the
+    matrices are the exact operands :func:`_matrices_from_words` multiplies.
     """
     h = hadamard()
     s = s_gate()
@@ -395,16 +366,14 @@ def _generator_list(n_qubits: int) -> list[tuple[tuple[str, tuple[int, ...]], np
 def _matrices_from_words(
     n_qubits: int, triples: np.ndarray, offsets: np.ndarray
 ) -> np.ndarray:
-    """Re-derive every element matrix from the stored generator words.
+    """Derive every element matrix from the generator words.
 
-    Element matrices dominate the persisted two-qubit group file (11520 ×
-    4×4 complex ≈ 2.9 MB of the ~3 MB total), yet they are fully determined
-    by the words: the breadth-first search created every element as
-    ``generator_matrix @ parent_matrix`` where the parent's word is the
-    element's word minus its last gate.  Replaying exactly that product in
-    index order reproduces each matrix **bit-identically** (same operands,
-    same operation, same order), so the store can drop the matrices and
-    this function rebuilds them in a few tens of milliseconds on load.
+    The breadth-first search reaches every element as ``generator ∘
+    parent``, where the parent's word is the element's word minus its last
+    gate, so each matrix is ``generator_matrix @ parent_matrix`` in index
+    order.  A fresh enumeration and a group loaded from the store both build
+    their matrices here, from the same operands in the same order, so the
+    two are bit-identical and the store never holds matrices.
 
     Parameters
     ----------
@@ -471,9 +440,9 @@ def clifford_group(n_qubits: int, store=None) -> CliffordGroup:
         :class:`~repro.benchmarking.store.CliffordChannelStore`, or ``None``
         for in-process only — see
         :func:`~repro.benchmarking.store.resolve_store`).  With a store, the
-        enumerated group (words, matrices, tableaux) is loaded from disk
-        when present — skipping the ~2 s two-qubit breadth-first search —
-        and persisted after a cold build.
+        enumerated group (words and tableaux) is loaded from disk when
+        present — skipping the two-qubit breadth-first search — and
+        persisted after a cold build.
 
     Returns
     -------

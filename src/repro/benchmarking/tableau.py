@@ -11,14 +11,13 @@ where ``v_j`` is a ``2n``-bit vector (x-part | z-part), ``p_j ∈ Z_4`` and
 ``(∏_q X_q^{x_q}) (∏_q Z_q^{z_q})``.  The ``2n`` rows ``v_j`` form a binary
 symplectic matrix and the phases a mod-4 vector, so group composition and
 inversion reduce to *integer arithmetic* — no ``2^n × 2^n`` complex matrix
-products and no byte-level matrix hashing.
+products (Aaronson & Gottesman, PRA 70, 052328, 2004).
 
 This module packs each row into a single Python int (bit ``k`` = X on qubit
 ``k``, bit ``n+k`` = Z on qubit ``k``) so a full tableau is ``2n`` small
 ints plus ``2n`` phases, composable in a few dozen bit operations.  The RB
 sequence generator composes tens of thousands of two-qubit elements per
-experiment; the tableau path replaces the 4×4 matrix-product-plus-hash
-lookup of the matrix path (~37 µs/compose) with a handful of native int ops.
+experiment, each a handful of native int ops.
 
 The multiplication rule behind both composition and inversion is
 
@@ -28,10 +27,11 @@ The multiplication rule behind both composition and inversion is
 inverse uses the symplectic relation ``M⁻¹ = J Mᵀ J`` with ``J`` the
 x↔z block swap, followed by one phase back-substitution pass per row.
 
-:class:`CliffordTableauIndex` maps every element of a
-:class:`~repro.benchmarking.clifford.CliffordGroup` to its tableau, keyed by
-a packed integer, giving O(1) ``compose_index`` / ``inverse_index`` without
-touching the element matrices.  Its arrays round-trip through
+:class:`CliffordTableauIndex` holds the tableau of every element of a
+:class:`~repro.benchmarking.clifford.CliffordGroup`, keyed by a packed
+integer, giving O(1) ``compose_index`` / ``inverse_index`` without touching
+the element matrices.  The group's breadth-first enumeration runs on these
+tableaux too, and their arrays round-trip through
 :mod:`repro.benchmarking.store` so the enumeration is shared across
 sessions.
 """
@@ -54,7 +54,6 @@ __all__ = [
     "tableau_key",
     "tableau_from_word",
     "tableau_from_unitary",
-    "tableau_to_unitary_phase_free",
     "CliffordTableauIndex",
 ]
 
@@ -308,27 +307,20 @@ def tableau_from_unitary(u: np.ndarray) -> Tableau:
     return Tableau(n=n, rows=tuple(rows), phases=tuple(phases))
 
 
-def tableau_to_unitary_phase_free(tableau: Tableau) -> np.ndarray:
-    """Reconstruct a unitary with this tableau (global phase arbitrary).
-
-    Brute-force synthesis via the generator set — intended for tests and
-    diagnostics only (the store keeps element matrices when they are
-    needed).
-    """
-    from .clifford import clifford_group
-
-    group = clifford_group(tableau.n)
-    index = group.tableau_index().index_of_key(tableau_key(tableau))
-    return group.element(index).matrix
+#: Largest group whose full product table is precomputed (24×24 for one
+#: qubit; the 11520-element two-qubit table would not pay for itself).
+_DENSE_PRODUCT_MAX = 24
 
 
 class CliffordTableauIndex:
     """Tableau table of a full Clifford group: O(1) integer compose/inverse.
 
-    Built once per group (from each element's generator word, walking the
-    BFS parent chain so every element costs a single tableau composition) or
-    restored from persisted arrays; afterwards ``compose_index`` and
+    Built once per group from the breadth-first enumeration or restored
+    from persisted arrays; afterwards ``compose_index`` and
     ``inverse_index`` are pure integer operations plus one dict lookup.
+    Groups of at most ``_DENSE_PRODUCT_MAX`` elements (the 24-element
+    single-qubit group) also fill a dense product table up front, so their
+    compositions are a plain table lookup.
 
     Parameters
     ----------
@@ -345,35 +337,13 @@ class CliffordTableauIndex:
         if len(self._key_to_index) != len(tableaux):
             raise ValidationError("tableau keys are not unique across the group")
         self._inverse_table: np.ndarray | None = None
+        self._products: list[list[int]] | None = None
+        if len(tableaux) <= _DENSE_PRODUCT_MAX:
+            self._products = [[self._compose(a, b) for b in tableaux] for a in tableaux]
 
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
-    @classmethod
-    def from_group(cls, group) -> "CliffordTableauIndex":
-        """Build the index from a group's generator words.
-
-        BFS construction guarantees each element's word is its parent's word
-        plus one generator, so the tableau of element ``i`` is one
-        composition on top of an already-computed parent tableau.
-        """
-        n = group.n_qubits
-        word_to_tableau: dict[tuple, Tableau] = {(): identity_tableau(n)}
-        tableaux: list[Tableau] = []
-        for i in range(len(group)):
-            word = group.element(i).word
-            tab = word_to_tableau.get(word)
-            if tab is None:
-                parent = word_to_tableau.get(word[:-1])
-                if parent is None:  # non-BFS word: compose from scratch
-                    parent = tableau_from_word(word[:-1], n)
-                    word_to_tableau[word[:-1]] = parent
-                name, qubits = word[-1]
-                tab = tableau_compose(parent, generator_tableau(name, qubits, n))
-                word_to_tableau[word] = tab
-            tableaux.append(tab)
-        return cls(n, tableaux)
-
     @classmethod
     def from_arrays(cls, n_qubits: int, rows: np.ndarray, phases: np.ndarray) -> "CliffordTableauIndex":
         """Rebuild the index from persisted ``(N, 2n)`` row/phase arrays."""
@@ -413,8 +383,12 @@ class CliffordTableauIndex:
 
     def compose_index(self, first: int, second: int) -> int:
         """Element index of ``second ∘ first`` — integer arithmetic only."""
-        composed = tableau_compose(self._tableaux[first], self._tableaux[second])
-        return self._key_to_index[tableau_key(composed)]
+        if self._products is not None:
+            return self._products[first][second]
+        return self._compose(self._tableaux[first], self._tableaux[second])
+
+    def _compose(self, first: Tableau, second: Tableau) -> int:
+        return self._key_to_index[tableau_key(tableau_compose(first, second))]
 
     def inverse_index(self, index: int) -> int:
         """Element index of the group inverse (table built on first use)."""

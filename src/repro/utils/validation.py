@@ -8,7 +8,7 @@ broadcasting failures.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -90,13 +90,3 @@ def check_in_range(
             f"{name} must be in {bracket[0]}{low}, {high}{bracket[1]}, got {v}"
         )
     return v
-
-
-def check_probabilities_sum(probs: Iterable[float], atol: float = 1e-8) -> np.ndarray:
-    """Validate that an iterable of probabilities is non-negative and sums to 1."""
-    p = np.asarray(list(probs), dtype=float)
-    if np.any(p < -atol):
-        raise ValidationError(f"probabilities must be non-negative, got {p}")
-    if not np.isclose(p.sum(), 1.0, atol=max(atol, 1e-6)):
-        raise ValidationError(f"probabilities must sum to 1, got sum={p.sum()}")
-    return p

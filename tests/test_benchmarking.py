@@ -1,5 +1,7 @@
 """Tests for the Clifford groups, RB fitting, RB and IRB experiments."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from repro.benchmarking import (
     fit_rb_decay,
     rb_circuits,
 )
+from repro.benchmarking.clifford import CliffordGroup
 from repro.benchmarking.fitting import error_per_clifford
 from repro.circuits import transpile
 from repro.circuits.gate import Gate
@@ -41,6 +44,38 @@ class TestCliffordGroup:
         assert not g.contains(np.diag([1.0, np.exp(0.3j)]))
         element = g.lookup(hadamard())
         assert unitary_overlap_fidelity(element.matrix, hadamard()) == pytest.approx(1.0)
+        # a matrix on the other qubit count is never an element
+        g2 = clifford_group(2)
+        assert not g2.contains(hadamard())
+        assert not g.contains(cx_gate())
+        with pytest.raises(ValidationError):
+            g2.lookup(hadamard())
+        with pytest.raises(ValidationError):
+            g.lookup(cx_gate())
+
+    @pytest.mark.parametrize(
+        "n, expected",
+        [
+            (1, "d341af01dec2cc3b45fda51f5cd14c0da3e370d48d650f420529557eafee5d7b"),
+            (2, "2a2cda4875d1151f7465cc6e6dc7aebf962ccc55d854e018c81637a7c80594e9"),
+        ],
+    )
+    def test_enumeration_is_pinned(self, n, expected):
+        """Words, BFS order and tableaux of both groups never drift."""
+        g = clifford_group(n)
+        arrays = g.to_arrays()
+        digest = hashlib.sha256()
+        for name in ("words", "word_offsets", "tableau_rows", "tableau_phases"):
+            arr = arrays[name]
+            for part in (name, str(arr.dtype), str(arr.shape)):
+                digest.update(part.encode())
+            digest.update(arr.tobytes())
+        assert digest.hexdigest() == expected
+        fresh = CliffordGroup(n)
+        loaded = CliffordGroup.from_arrays(n, arrays)
+        for a, b in zip(fresh._elements, loaded._elements):
+            assert a.word == b.word
+            assert a.matrix.tobytes() == b.matrix.tobytes()
 
     def test_compose_matches_matrix_product(self):
         g = clifford_group(1)
