@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices called out in DESIGN.md.
+"""Ablation benches for the optimizer and simulator design choices.
 
 * open- vs closed-system optimization (the paper includes decoherence for X
   but not for √X),

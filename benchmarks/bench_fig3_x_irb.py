@@ -2,8 +2,8 @@
 
 Paper values: custom (2.0 ± 0.5)e-4, default (2.8 ± 0.5)e-4, histogram 87.3%
 of |1⟩.  The reproduction preserves the ordering (custom < default) and the
-readout-limited histogram; see EXPERIMENTS.md for the absolute-scale
-discussion.
+readout-limited histogram; the absolute error rates are higher than the
+paper's (see :mod:`repro.devices.library`).
 """
 
 from repro.experiments import figures

@@ -57,12 +57,13 @@ import time
 import numpy as np
 
 from repro.backend import PulseBackend
-from repro.benchmarking import CliffordChannelStore, InterleavedRBExperiment, clifford_channel_table
-from repro.benchmarking import store as store_module
+from repro.benchmarking import InterleavedRBExperiment, clifford_channel_table
 from repro.benchmarking.clifford import CliffordGroup, clifford_group
 from repro.circuits.gate import Gate
 from repro.devices import fake_montreal
 from repro.session import GRAPESpec, IRBSpec, Session, SweepSpec
+from repro.store import ArtifactStore
+from repro.store import channels as store_channels
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
@@ -141,7 +142,7 @@ def _store_cold_vs_warm(root) -> dict:
     n_elements = len(group) if SMOKE else 240
     indices = list(range(n_elements))
 
-    store = CliffordChannelStore(root)
+    store = ArtifactStore(root)
     cold_backend = PulseBackend(fake_montreal(), calibrated_qubits=[0, 1], seed=2022)
     start = time.perf_counter()
     cold_table = clifford_channel_table(cold_backend, qubits, group, store=store)
@@ -151,10 +152,10 @@ def _store_cold_vs_warm(root) -> dict:
     # a warm session: fresh store object, fresh backend instance, and the
     # process-local mmap cache dropped so the timing includes the real
     # manifest read + np.load + memory-map open a new process would pay
-    store_module._OPEN_TABLES.clear()
+    store_channels._OPEN_TABLES.clear()
     warm_backend = PulseBackend(
         fake_montreal(), calibrated_qubits=[0, 1], seed=2022,
-        channel_store=CliffordChannelStore(root),
+        channel_store=ArtifactStore(root),
     )
     start = time.perf_counter()
     warm_table = clifford_channel_table(warm_backend, qubits, group)
@@ -232,7 +233,7 @@ def _session_vs_sequential(root) -> dict:
 
     # the session path: one backend, one table build (union of all three
     # spec's sequences), persisted exactly once, then fan out
-    store = CliffordChannelStore(root)
+    store = ArtifactStore(root)
     start = time.perf_counter()
     with Session(store=store, num_workers=1) as session:
         results = session.run_all(specs)
@@ -253,9 +254,9 @@ def _session_vs_sequential(root) -> dict:
         "sequential_wall_clock_s": sequential_wall,
         "session_wall_clock_s": session_wall,
         "shared_prep_gain": sequential_wall / session_wall,
-        "table_writes": store.stats["table_writes"],
-        "table_write_skips": store.stats["table_write_skips"],
-        "elements_written": store.stats["elements_written"],
+        "table_writes": store.namespace_stats("channel_tables")["writes"],
+        "table_write_skips": store.namespace_stats("channel_tables")["write_skips"],
+        "elements_written": store.namespace_stats("channel_tables")["elements_written"],
         "max_survival_abs_diff": max_abs_diff,
         "gate_error_abs_diff": gate_error_abs_diff,
     }
@@ -300,7 +301,7 @@ def _result_cache_cold_vs_warm(root) -> dict:
 
         spec = fig3_specs()["custom_irb"]
 
-    cold_store = CliffordChannelStore(root)
+    cold_store = ArtifactStore(root)
     start = time.perf_counter()
     with Session(store=cold_store, num_workers=1) as session:
         cold = session.run(spec)
@@ -310,8 +311,8 @@ def _result_cache_cold_vs_warm(root) -> dict:
     # a warm session: fresh store object and process-local mmap cache
     # dropped, so the replay pays the real manifest + JSON read costs a
     # new process would pay
-    store_module._OPEN_TABLES.clear()
-    warm_store = CliffordChannelStore(root)
+    store_channels._OPEN_TABLES.clear()
+    warm_store = ArtifactStore(root)
     start = time.perf_counter()
     with Session(store=warm_store, num_workers=1) as session:
         warm = session.run(spec)
@@ -328,7 +329,7 @@ def _result_cache_cold_vs_warm(root) -> dict:
         "cold_executions": cold_stats["executions"],
         "warm_executions": warm_stats["executions"],
         "warm_prep_builds": warm_stats["prep_builds"],
-        "warm_table_writes": warm_store.stats["table_writes"],
+        "warm_table_writes": warm_store.namespace_stats("channel_tables")["writes"],
         "warm_result_hits": warm_store.namespace_stats("results")["hits"],
         "cold_result_writes": cold_store.namespace_stats("results")["writes"],
         "cold_pulse_writes": cold_store.namespace_stats("pulses")["writes"],
@@ -477,7 +478,7 @@ def _grape_sweep_batched_vs_fanout(root) -> dict:
     n_points = len(seeds) * len(scales)
 
     # pay the one-off model/import warm-up outside both timed legs
-    with Session(store=CliffordChannelStore(root / "warm"), num_workers=1) as session:
+    with Session(store=ArtifactStore(root / "warm"), num_workers=1) as session:
         session.run(GRAPESpec(
             device="montreal", gate="x", qubits=(0,), duration_ns=56.0,
             n_ts=8, include_decoherence=False, max_iter=10, seed=1,
@@ -485,7 +486,7 @@ def _grape_sweep_batched_vs_fanout(root) -> dict:
 
     def leg(name: str, batch: bool):
         with Session(
-            store=CliffordChannelStore(root / name), num_workers=1, grape_batch=batch,
+            store=ArtifactStore(root / name), num_workers=1, grape_batch=batch,
         ) as session:
             start = time.perf_counter()
             result = session.run(sweep)

@@ -70,7 +70,7 @@ def main(full: bool = False) -> None:
             f"      exact channel errors: custom {result.custom_channel_error:.2e}, "
             f"default {result.default_channel_error:.2e}"
         )
-    print("\n(The paper's corresponding IRB numbers are in Table I; see EXPERIMENTS.md.)")
+    print("\n(The paper's corresponding IRB numbers are in Table I; see benchmarks/bench_table1_error_rates.py.)")
 
 
 if __name__ == "__main__":

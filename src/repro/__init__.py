@@ -34,7 +34,7 @@ built from scratch on NumPy/SciPy:
                         result retention; run it with
                         ``python -m repro.service`` (see docs/service.md)
 
-See README.md for a quickstart and DESIGN.md for the system inventory.
+See README.md for a quickstart and docs/architecture.md for the system inventory.
 """
 
 __version__ = "1.0.0"

@@ -11,8 +11,8 @@ reproduction:
   counts,
 * it caches the quantum channel of every calibrated gate so that circuit and
   randomized-benchmarking workloads compose cheap ``4^n × 4^n``
-  superoperators instead of re-integrating every pulse sample (see DESIGN.md
-  §5 — exact for Markovian noise).
+  superoperators instead of re-integrating every pulse sample (exact for
+  Markovian noise; see docs/architecture.md, "Layer 2").
 
 Custom calibrations attached to a circuit via
 ``QuantumCircuit.add_calibration`` override the defaults, which is how the
@@ -75,13 +75,13 @@ class PulseBackend:
             Seed of the backend's measurement-sampling RNG.
         channel_store : optional
             Default persistent Clifford-channel store for RB workloads on
-            this backend: ``"auto"``, a directory path, a
-            :class:`~repro.benchmarking.store.CliffordChannelStore`, or
+            this backend: ``"auto"``, a directory path, an
+            :class:`~repro.store.ArtifactStore`, or
             ``None`` (no persistence).  Experiments may override it per run
             via their own ``store=`` knob.  Stale reads after a properties
             drift are impossible by construction — the store key embeds the
             properties fingerprint (see
-            :meth:`~repro.benchmarking.store.CliffordChannelStore.channel_table_key`).
+            :meth:`~repro.store.ArtifactStore.channel_table_key`).
         """
         self.properties = properties
         self.options = options or SimulationOptions()
@@ -93,7 +93,7 @@ class PulseBackend:
         )
         if channel_store is not None:
             # resolve eagerly so a bad knob fails at construction, not mid-run
-            from ..benchmarking.store import resolve_store
+            from ..store import resolve_store
 
             channel_store = resolve_store(channel_store)
         #: Default persistent store consulted by the RB channel engine

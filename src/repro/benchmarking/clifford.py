@@ -213,7 +213,7 @@ class CliffordGroup:
         return float(np.mean([len(e.word) for e in self._elements]))
 
     # ------------------------------------------------------------------ #
-    # persistence (consumed by repro.benchmarking.store)
+    # persistence (consumed by repro.store)
     # ------------------------------------------------------------------ #
     def to_arrays(self) -> dict[str, np.ndarray]:
         """Flatten the enumerated group into plain arrays.
@@ -221,8 +221,8 @@ class CliffordGroup:
         The payload (generator words as packed int triples, tableau
         rows/phases) is everything needed to rebuild the group without
         re-running the breadth-first enumeration; it is what
-        :class:`~repro.benchmarking.store.CliffordChannelStore` persists so
-        warm sessions skip the two-qubit search.  Element matrices are not
+        :class:`~repro.store.ArtifactStore` persists so warm sessions skip
+        the two-qubit search.  Element matrices are not
         part of it: :meth:`from_arrays` re-derives them bit-identically from
         the words (see :func:`_matrices_from_words`).
 
@@ -436,10 +436,9 @@ def clifford_group(n_qubits: int, store=None) -> CliffordGroup:
     n_qubits : int
         1 or 2.
     store : optional
-        A persistent store selector (``"auto"``, a directory path, a
-        :class:`~repro.benchmarking.store.CliffordChannelStore`, or ``None``
-        for in-process only — see
-        :func:`~repro.benchmarking.store.resolve_store`).  With a store, the
+        A persistent store selector (``"auto"``, a directory path, an
+        :class:`~repro.store.ArtifactStore`, or ``None`` for in-process
+        only — see :func:`~repro.store.resolve_store`).  With a store, the
         enumerated group (words and tableaux) is loaded from disk when
         present — skipping the two-qubit breadth-first search — and
         persisted after a cold build.
@@ -449,7 +448,7 @@ def clifford_group(n_qubits: int, store=None) -> CliffordGroup:
     CliffordGroup
         The (process-cached) group.
     """
-    from .store import resolve_store
+    from ..store import resolve_store
 
     store = resolve_store(store)
     group = _GROUP_CACHE.get(n_qubits)

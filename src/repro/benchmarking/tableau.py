@@ -32,7 +32,7 @@ x↔z block swap, followed by one phase back-substitution pass per row.
 integer, giving O(1) ``compose_index`` / ``inverse_index`` without touching
 the element matrices.  The group's breadth-first enumeration runs on these
 tableaux too, and their arrays round-trip through
-:mod:`repro.benchmarking.store` so the enumeration is shared across
+:mod:`repro.store` so the enumeration is shared across
 sessions.
 """
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from ..qobj.qobj import qobj_to_array
 from ..qobj.superop import spost, spre
-from ..solvers.array_backend import active_backend
 from ..solvers.expm_utils import expm_batch, hermitian_eig_batch
 from ..solvers.propagator import (
     assemble_pwc_hamiltonians,
@@ -88,18 +87,9 @@ def closed_evolution(
     if dt <= 0:
         raise ValidationError(f"dt must be > 0, got {dt}")
     h_slots = assemble_pwc_hamiltonians(qobj_to_array(drift), [qobj_to_array(c) for c in controls], amplitudes)
-    # the eigendecomposition and the slot-propagator reconstruction both run
-    # through the array-backend seam (REPRO_ARRAY_BACKEND); on the default
-    # numpy backend these are the literal pre-seam NumPy calls
-    backend = active_backend()
     evals, evecs = hermitian_eig_batch(h_slots)
     phases = np.exp(-1j * dt * evals)
-    steps = backend.to_host(
-        backend.matmul(
-            backend.asarray(evecs * phases[:, None, :]),
-            backend.asarray(np.conj(np.swapaxes(evecs, -1, -2))),
-        )
-    )
+    steps = np.matmul(evecs * phases[:, None, :], np.conj(np.swapaxes(evecs, -1, -2)))
     forward, backward = pwc_cumulative_propagators(steps)
     return ClosedEvolution(
         h_slots=h_slots,

@@ -147,7 +147,7 @@ class BackendProperties:
     #: Relative amplitude miscalibration of the default X / SX / CX pulses and
     #: relative error of the default DRAG coefficient.  These model the
     #: (small) residual coherent calibration error of the provider's default
-    #: gates; see DESIGN.md §5 ("Fidelity notes").
+    #: gates.
     default_x_amplitude_error: float = 0.0
     default_sx_amplitude_error: float = 0.0
     default_cx_amplitude_error: float = 0.0
@@ -156,8 +156,8 @@ class BackendProperties:
     #: expressed as an average gate infidelity.  This models the stochastic
     #: error accumulated since the provider's last calibration cycle
     #: (parameter drift, fluctuating amplitudes) that freshly optimized pulses
-    #: do not carry; it is the main knob used to land the default-gate errors
-    #: on the decade reported in the paper (see EXPERIMENTS.md).
+    #: do not carry; it is the main knob that sets the default-gate errors
+    #: compared against the paper's Table I.
     default_x_incoherent_error: float = 0.0
     default_sx_incoherent_error: float = 0.0
     default_cx_incoherent_error: float = 0.0

@@ -12,8 +12,8 @@ Each module maps onto a part of the paper:
 * :mod:`~repro.experiments.drift` — the Section V calibration-drift study
   (optimize once vs optimize daily),
 * :mod:`~repro.experiments.optimizers` — the Section II optimizer comparison
-  (L-BFGS-B vs SPSA vs plain GRAPE vs CRAB) and the ablations called out in
-  DESIGN.md.
+  (L-BFGS-B vs SPSA vs plain GRAPE vs CRAB) and the ablations run by
+  ``benchmarks/bench_ablations.py``.
 """
 
 from .gates import (

@@ -4,8 +4,8 @@ Reproduces the sweep of the paper's Table I: for each gate and pulse
 duration, optimize a custom pulse, benchmark it with interleaved RB against
 the backend default, and report both error rates and the relative
 improvement.  The paper's published values are kept in
-:data:`TABLE1_PAPER_VALUES` so EXPERIMENTS.md (and the bench harness) can
-print the side-by-side comparison.
+:data:`TABLE1_PAPER_VALUES` so the bench harness can print the side-by-side
+comparison.
 
 Device assignment follows the paper: X, √X and CX on ibmq_montreal, H on
 ibmq_toronto; the default single-qubit gate duration is 32 ns.
@@ -49,8 +49,7 @@ TABLE1_PAPER_VALUES = {
 #: ``optimizer_levels`` is 3 (leakage-aware transmon model) except for the
 #: long 267-ns H row, which uses the paper's bare two-level Pauli model — the
 #: resulting pulse leaks on the 3-level device and performs *worse* than the
-#: default gate, reproducing the anomalous H row of the paper's Table I (see
-#: EXPERIMENTS.md for the discussion).
+#: default gate, reproducing the anomalous H row of the paper's Table I.
 TABLE1_ROWS: tuple[dict, ...] = (
     {"gate": "x", "duration_ns": 105.0, "device": "montreal", "n_ts": 12, "include_decoherence": True, "optimizer_levels": 3},
     {"gate": "x", "duration_ns": 56.0, "device": "montreal", "n_ts": 10, "include_decoherence": True, "optimizer_levels": 3},

@@ -20,8 +20,8 @@ The *intentional miscalibration* knobs of
 (``default_x_amplitude_error``, ``default_sx_amplitude_error``,
 ``default_drag_error``, ``default_cx_amplitude_error``) are applied here.
 They model the residual calibration error of the provider's default gates —
-the head-room that the paper's optimized pulses compete against (see
-DESIGN.md §5 and EXPERIMENTS.md for how these are chosen).
+the head-room that the paper's optimized pulses compete against (the values
+are set per device in :mod:`repro.devices.library`).
 """
 
 from __future__ import annotations

@@ -80,8 +80,7 @@ class Session:
         demand with ``calibrated_qubits=[0, 1]`` (the paper's layout).
     store : optional
         Persistent Clifford-store selector: ``"auto"`` (default cache
-        directory), a path, a
-        :class:`~repro.benchmarking.store.CliffordChannelStore`, or
+        directory), a path, an :class:`~repro.store.ArtifactStore`, or
         ``None`` / ``False`` for no persistence.
     num_workers : int
         Default process fan-out for spec execution: ``0`` = all available
@@ -1162,26 +1161,15 @@ def _canonical(device: str) -> str:
 
 
 def _counter_deltas(before: dict, after: dict) -> dict:
-    """Non-zero per-namespace counter deltas between two store snapshots.
-
-    Handles both stats shapes: the :class:`~repro.store.ArtifactStore`'s
-    nested ``{namespace: {counter: n}}`` and the legacy
-    ``CliffordChannelStore`` facade's flat ``{counter: n}``.
-    """
+    """Non-zero per-namespace counter deltas between two store snapshots."""
     deltas: dict = {}
     for namespace, counters in after.items():
-        base = before.get(namespace)
-        if isinstance(counters, dict):
-            base = base if isinstance(base, dict) else {}
-            changed = {
-                key: value - base.get(key, 0)
-                for key, value in counters.items()
-                if value - base.get(key, 0)
-            }
-            if changed:
-                deltas[namespace] = changed
-        elif isinstance(counters, (int, float)):
-            delta = counters - (base if isinstance(base, (int, float)) else 0)
-            if delta:
-                deltas[namespace] = delta
+        base = before.get(namespace, {})
+        changed = {
+            key: value - base.get(key, 0)
+            for key, value in counters.items()
+            if value - base.get(key, 0)
+        }
+        if changed:
+            deltas[namespace] = changed
     return deltas

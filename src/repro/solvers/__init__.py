@@ -3,9 +3,6 @@
 This package provides the time-evolution machinery the rest of the library is
 built on:
 
-* :mod:`~repro.solvers.array_backend` — the array-API seam the batched
-  kernels run through (numpy default; cupy/numba selected by
-  ``REPRO_ARRAY_BACKEND`` with capability probing and numpy fallback),
 * :mod:`~repro.solvers.expm_utils` — matrix-exponential utilities specialized
   for Hermitian generators (eigendecomposition based) plus Fréchet-derivative
   helpers used by exact GRAPE gradients,
@@ -19,7 +16,6 @@ built on:
 """
 
 from .result import SolverResult
-from .array_backend import active_backend, resolve_backend
 from .expm_utils import expm_hermitian, expm_unitary_step, expm_frechet_hermitian, expm_general
 from .propagator import (
     pwc_step_propagators,
@@ -35,8 +31,6 @@ from .integrators import rk4_step, rk4_integrate
 
 __all__ = [
     "SolverResult",
-    "active_backend",
-    "resolve_backend",
     "expm_hermitian",
     "expm_unitary_step",
     "expm_frechet_hermitian",

@@ -6,22 +6,12 @@ generators an eigendecomposition (``scipy.linalg.eigh``) is both faster and
 more accurate than the general Padé ``expm`` for the small (2–16 dim)
 matrices used here, and it additionally yields the exact Fréchet derivative
 needed for exact GRAPE gradients via the Loewner (divided-difference) matrix.
-
-The batched kernels run through the array-backend seam
-(:mod:`~repro.solvers.array_backend`, selected by ``REPRO_ARRAY_BACKEND``):
-on the default numpy backend the operations are the literal NumPy calls, so
-results are bit-identical to the pre-seam implementations; cupy/numba move
-the stacked work to the GPU / a JIT-compiled loop, with device→host
-conversion confined to the kernels themselves (callers always see
-``np.ndarray``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg as la
-
-from .array_backend import active_backend
 
 __all__ = [
     "expm_hermitian",
@@ -159,10 +149,7 @@ def hermitian_eig_batch(h_stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ``evals`` has shape ``(..., d)``, ``evecs`` shape ``(..., d, d)``
         with eigenvectors in columns (same convention as ``scipy.linalg.eigh``).
     """
-    backend = active_backend()
-    h = backend.asarray(np.asarray(h_stack, dtype=complex))
-    evals, evecs = backend.eigh(h)
-    return backend.to_host(evals), backend.to_host(evecs)
+    return np.linalg.eigh(np.asarray(h_stack, dtype=complex))
 
 
 def expm_hermitian_batch(h_stack: np.ndarray, scale: complex = 1.0) -> np.ndarray:
@@ -171,13 +158,9 @@ def expm_hermitian_batch(h_stack: np.ndarray, scale: complex = 1.0) -> np.ndarra
     Vectorized equivalent of calling :func:`expm_hermitian` on every slice:
     one stacked eigendecomposition instead of a Python loop of ``eigh`` calls.
     """
-    backend = active_backend()
-    xp = backend.xp
-    h = backend.asarray(np.asarray(h_stack, dtype=complex))
-    evals, evecs = backend.eigh(h)
-    phases = xp.exp(scale * evals)
-    out = backend.matmul(evecs * phases[..., None, :], xp.conj(xp.swapaxes(evecs, -1, -2)))
-    return backend.to_host(out)
+    evals, evecs = np.linalg.eigh(np.asarray(h_stack, dtype=complex))
+    phases = np.exp(scale * evals)
+    return np.matmul(evecs * phases[..., None, :], np.conj(np.swapaxes(evecs, -1, -2)))
 
 
 def expm_unitary_step_batch(h_stack: np.ndarray, dt: float) -> np.ndarray:
@@ -246,26 +229,23 @@ def expm_batch(a_stack: np.ndarray) -> np.ndarray:
         raise ValueError(f"expm_batch expects a stack of square matrices, got shape {a.shape}")
     if a.size == 0:
         return a.copy()
-    backend = active_backend()
-    xp = backend.xp
-    a = backend.asarray(a)
     d = a.shape[-1]
-    one_norm = float(xp.max(xp.abs(a).sum(axis=-2)))
+    one_norm = float(np.max(np.abs(a).sum(axis=-2)))
     n_squarings = 0
     if one_norm > _PADE13_THETA:
         n_squarings = int(np.ceil(np.log2(one_norm / _PADE13_THETA)))
         a = a / (2.0**n_squarings)
     b = _PADE13_B
-    eye = xp.broadcast_to(xp.eye(d, dtype=complex), a.shape)
+    eye = np.broadcast_to(np.eye(d, dtype=complex), a.shape)
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a2 @ a4
     u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
     v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
-    r = backend.solve(v - u, v + u)
+    r = np.linalg.solve(v - u, v + u)
     for _ in range(n_squarings):
         r = r @ r
-    return backend.to_host(r)
+    return r
 
 
 def expm_frechet_batch(

@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import array_backend
 from .expm_utils import expm_batch, expm_general, expm_unitary_step, expm_unitary_step_batch
 from ..qobj.qobj import qobj_to_array
 from ..qobj.superop import liouvillian
@@ -44,10 +43,6 @@ def chain_propagator_product(steps: np.ndarray, initial: np.ndarray | None = Non
     Python-level work is ``O(log N)`` instead of ``O(N)``.  The association
     of the product differs from a sequential left-fold, so results agree with
     the loop implementation to floating-point tolerance (not bit-for-bit).
-
-    Runs through the array-backend seam (``REPRO_ARRAY_BACKEND``): the whole
-    reduction executes on the selected backend and only the final ``(d, d)``
-    product returns to the host.
     """
     mats = np.asarray(steps)
     if mats.ndim != 3:
@@ -56,18 +51,15 @@ def chain_propagator_product(steps: np.ndarray, initial: np.ndarray | None = Non
     if n == 0:
         out = np.eye(d, dtype=complex)
     else:
-        backend = array_backend.active_backend()
-        xp = backend.xp
-        mats = backend.asarray(mats)
         while mats.shape[0] > 1:
             m = mats.shape[0]
             half = m // 2
             # pair (U_0, U_1) -> U_1 U_0, (U_2, U_3) -> U_3 U_2, ...
-            reduced = backend.matmul(mats[1 : 2 * half : 2], mats[0 : 2 * half : 2])
+            reduced = np.matmul(mats[1 : 2 * half : 2], mats[0 : 2 * half : 2])
             if m % 2:
-                reduced = xp.concatenate([reduced, mats[-1:]])
+                reduced = np.concatenate([reduced, mats[-1:]])
             mats = reduced
-        out = backend.to_host(mats[0])
+        out = mats[0]
     if initial is not None:
         out = out @ qobj_to_array(initial)
     return out

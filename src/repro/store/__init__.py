@@ -1,10 +1,7 @@
 """Unified content-addressed artifact store (``repro.store``).
 
-Persistence used to be fragmented across ad-hoc mechanisms — channel tables
-and group files in ``CliffordChannelStore``, GRAPE pulses rebuilt in memory
-every session, results never persisted at all.  This package consolidates
-all of it into one :class:`ArtifactStore` with four typed namespaces under
-a single on-disk root:
+One :class:`ArtifactStore` persists every artifact the pipeline reuses,
+in four typed namespaces under a single on-disk root:
 
 ========== ================= ==========================================
 namespace       directory     contents
@@ -30,10 +27,6 @@ stale read is structurally impossible.
 
 Maintenance is scriptable via ``python -m repro.store`` (``ls``, ``stats``,
 ``prune``, ``rm``) — see :mod:`repro.store.__main__`.
-
-The legacy :class:`~repro.benchmarking.store.CliffordChannelStore` is a
-thin compatibility facade subclassing :class:`ArtifactStore` (it keeps the
-historical flat ``stats`` keys and module-level format constants).
 """
 
 from __future__ import annotations
@@ -101,7 +94,7 @@ class ArtifactStore(ChannelTableMixin, GroupMixin, PulseMixin, ResultMixin, Stor
     """
 
 
-def resolve_store(store, cls: type[ArtifactStore] | None = None) -> ArtifactStore | None:
+def resolve_store(store) -> ArtifactStore | None:
     """Resolve the user-facing ``store`` knob to a store instance (or None).
 
     Parameters
@@ -110,26 +103,20 @@ def resolve_store(store, cls: type[ArtifactStore] | None = None) -> ArtifactStor
         ``None`` / ``False`` disable persistence, ``"auto"`` selects
         :func:`default_store_root`, a path selects that directory, and an
         existing store instance is passed through.
-    cls : type, optional
-        Concrete class to instantiate for ``"auto"``/path selectors
-        (defaults to :class:`ArtifactStore`; the legacy facade passes
-        :class:`~repro.benchmarking.store.CliffordChannelStore`).
 
     Returns
     -------
     ArtifactStore or None
         The resolved store.
     """
-    if cls is None:
-        cls = ArtifactStore
     if store is None or store is False:
         return None
     if isinstance(store, ArtifactStore):
         return store
     if store == "auto":
-        return cls(default_store_root())
+        return ArtifactStore(default_store_root())
     if isinstance(store, (str, Path)):
-        return cls(store)
+        return ArtifactStore(store)
     raise ValidationError(
         f"store must be None, False, 'auto', a path or a store instance, got {store!r}"
     )

@@ -51,11 +51,6 @@ _SCALAR_FIELDS = (
 class PulseMixin:
     """Typed API of the ``pulses`` namespace (mixed into the store)."""
 
-    @classmethod
-    def _pulse_format_version(cls) -> int:
-        """Format version keyed into and validated against pulse entries."""
-        return PULSE_FORMAT_VERSION
-
     def pulse_key(self, spec_fingerprint: str, properties_fingerprint: str) -> str:
         """Content-address of one optimization outcome.
 
@@ -68,7 +63,7 @@ class PulseMixin:
         """
         payload = json.dumps(
             {
-                "version": self._pulse_format_version(),
+                "version": PULSE_FORMAT_VERSION,
                 "spec": spec_fingerprint,
                 "properties": properties_fingerprint,
             },
@@ -88,7 +83,7 @@ class PulseMixin:
             manifest = json.loads(self._pulse_manifest_path(key).read_text())
         except (OSError, json.JSONDecodeError):
             return None
-        if manifest.get("version") != self._pulse_format_version():
+        if manifest.get("version") != PULSE_FORMAT_VERSION:
             return None
         if not (self._pulses_dir() / manifest.get("arrays_file", "")).exists():
             return None
@@ -128,7 +123,7 @@ class PulseMixin:
             arrays_file = f"{key}-{uuid.uuid4().hex[:8]}.npz"
             atomic_write(directory / arrays_file, lambda fh: np.savez(fh, **arrays))
             manifest = {
-                "version": self._pulse_format_version(),
+                "version": PULSE_FORMAT_VERSION,
                 "key": key,
                 "arrays_file": arrays_file,
                 "scalars": {name: getattr(optimization, name) for name in _SCALAR_FIELDS},

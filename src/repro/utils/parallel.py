@@ -16,7 +16,7 @@ re-spawning workers per call.  Worker startup (fork + interpreter/numpy
 warm-up) costs tens to hundreds of milliseconds, which used to dominate
 sub-second RB workloads; with reuse it is paid once per session.  Workers
 also keep their process-local caches — notably the memory-mapped channel
-tables of :mod:`repro.benchmarking.store` — warm across calls.  Call
+tables of :mod:`repro.store.channels` — warm across calls.  Call
 :func:`shutdown_pool` to reclaim the workers explicitly (an ``atexit`` hook
 does it at interpreter exit).
 
@@ -27,7 +27,7 @@ practice; ``spawn`` — the only method on Windows and the default on macOS —
 re-imports the worker interpreter from scratch, so workers receive no
 forked module state.  Everything the RB engine ships to workers is
 picklable by construction (module-level functions, frozen dataclass
-contexts, :class:`~repro.benchmarking.store.ChannelTableHandle` instead of
+contexts, :class:`~repro.store.channels.ChannelTableHandle` instead of
 live memory maps), and a spawn-context **initializer** re-applies the
 parent's ``REPRO_*`` environment knobs (store directory, smoke flags) in
 each fresh worker so path resolution matches the parent.  CI runs a matrix

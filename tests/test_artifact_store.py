@@ -14,7 +14,9 @@ import sys
 import numpy as np
 import pytest
 
+from repro.backend import PulseBackend
 from repro.core.result import OptimResult
+from repro.devices import fake_montreal
 from repro.session.results import ExperimentResult
 from repro.store import NAMESPACES, ArtifactStore, resolve_store
 from repro.store.__main__ import main as store_cli
@@ -94,6 +96,10 @@ class TestNamespaces:
         assert type(resolved) is ArtifactStore
         assert resolve_store(resolved) is resolved
         assert resolve_store(None) is None
+        # a backend's channel store is the same class with the same counters
+        backend = PulseBackend(fake_montreal(), calibrated_qubits=[0], channel_store=tmp_path / "b")
+        assert type(backend.channel_store) is ArtifactStore
+        assert set(backend.channel_store.stats) == {ns.name for ns in NAMESPACES}
 
 
 class TestPulseNamespace:

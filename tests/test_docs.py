@@ -45,14 +45,17 @@ def test_docs_nav_covers_required_pages():
 def test_public_api_docstring_coverage():
     """Mirror of the blocking ruff D1 check (which CI runs with real ruff).
 
-    Every public module/class/function/method in ``benchmarking/``,
-    ``backend/`` and ``solvers/expm_utils.py`` must carry a docstring.
+    Every public module/class/function/method under ``benchmarking/``,
+    ``backend/``, ``session/``, ``store/``, ``service/`` and ``obs/`` (walked
+    recursively) and in ``solvers/expm_utils.py`` must carry a docstring.
+    Definitions nested inside a function are not public (as in pydocstyle).
     """
-    targets = (
-        sorted((REPO_ROOT / "src/repro/benchmarking").glob("*.py"))
-        + sorted((REPO_ROOT / "src/repro/backend").glob("*.py"))
-        + [REPO_ROOT / "src/repro/solvers/expm_utils.py"]
-    )
+    packages = ("benchmarking", "backend", "session", "store", "service", "obs")
+    targets = [
+        path
+        for package in packages
+        for path in sorted((REPO_ROOT / "src/repro" / package).rglob("*.py"))
+    ] + [REPO_ROOT / "src/repro/solvers/expm_utils.py"]
     assert targets, "target modules not found"
     missing: list[str] = []
 
@@ -60,12 +63,13 @@ def test_public_api_docstring_coverage():
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if not child.name.startswith("_") and not ast.get_docstring(child):
-                    missing.append(f"{path.name}:{child.lineno} {child.name}")
-                walk(path, child)
+                    missing.append(f"{path.relative_to(REPO_ROOT)}:{child.lineno} {child.name}")
+                if isinstance(child, ast.ClassDef):
+                    walk(path, child)
 
     for path in targets:
         tree = ast.parse(path.read_text())
         if not ast.get_docstring(tree):
-            missing.append(f"{path.name}: module docstring")
+            missing.append(f"{path.relative_to(REPO_ROOT)}: module docstring")
         walk(path, tree)
     assert not missing, "missing public docstrings:\n" + "\n".join(missing)

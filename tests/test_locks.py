@@ -2,7 +2,7 @@
 
 Covers the :class:`repro.utils.locks.FileLock` primitive itself
 (acquire/release semantics, context manager, non-reentrancy) and its two
-consumers in :mod:`repro.benchmarking.store`: racing channel-table writers
+consumers in :mod:`repro.store`: racing channel-table writers
 merge into one consistent generation instead of last-writer-wins
 overwrites, and redundant saves are skipped entirely (observable through
 the store's write counters).
@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.benchmarking.store import CliffordChannelStore
+from repro.store import ArtifactStore
 from repro.utils.locks import FileLock
 
 fork_only = pytest.mark.skipif(
@@ -207,7 +207,7 @@ class TestFileLockStress:
 
 def _store_writer_worker(root, key, start, stop):
     """Persist a slice of synthetic channels under one key."""
-    store = CliffordChannelStore(root)
+    store = ArtifactStore(root)
     channels = {
         i: np.full((4, 4), i + 1, dtype=complex) for i in range(start, stop)
     }
@@ -230,7 +230,7 @@ class TestConcurrentStoreWriters:
         for worker in workers:
             worker.join(timeout=60)
             assert worker.exitcode == 0
-        store = CliffordChannelStore(root)
+        store = ArtifactStore(root)
         loaded = store.load_channel_table(key)
         assert loaded is not None
         ids, channels = loaded
@@ -244,39 +244,39 @@ class TestConcurrentStoreWriters:
 
 class TestWriteCounters:
     def test_redundant_save_is_skipped(self, tmp_path):
-        store = CliffordChannelStore(tmp_path / "store")
+        store = ArtifactStore(tmp_path / "store")
         key = "a" * 64
         channels = {0: np.eye(4, dtype=complex), 3: np.ones((4, 4), dtype=complex)}
         store.save_channel_table(key, channels)
-        assert store.stats["table_writes"] == 1
-        assert store.stats["elements_written"] == 2
-        assert store.stats["table_write_skips"] == 0
+        assert store.namespace_stats("channel_tables")["writes"] == 1
+        assert store.namespace_stats("channel_tables")["elements_written"] == 2
+        assert store.namespace_stats("channel_tables")["write_skips"] == 0
         # identical content again: no new generation, counted as a skip
         store.save_channel_table(key, channels)
-        assert store.stats["table_writes"] == 1
-        assert store.stats["table_write_skips"] == 1
+        assert store.namespace_stats("channel_tables")["writes"] == 1
+        assert store.namespace_stats("channel_tables")["write_skips"] == 1
         # a strict subset is also fully covered -> still skipped
         store.save_channel_table(key, {0: channels[0]})
-        assert store.stats["table_writes"] == 1
-        assert store.stats["table_write_skips"] == 2
+        assert store.namespace_stats("channel_tables")["writes"] == 1
+        assert store.namespace_stats("channel_tables")["write_skips"] == 2
         # genuinely new elements produce exactly one more generation
         store.save_channel_table(key, {7: np.zeros((4, 4), dtype=complex)})
-        assert store.stats["table_writes"] == 2
-        assert store.stats["elements_written"] == 3
+        assert store.namespace_stats("channel_tables")["writes"] == 2
+        assert store.namespace_stats("channel_tables")["elements_written"] == 3
         ids, _ = store.load_channel_table(key)
         assert list(ids) == [0, 3, 7]
 
     def test_group_write_counted_once(self, tmp_path):
         from repro.benchmarking.clifford import clifford_group
 
-        store = CliffordChannelStore(tmp_path / "store")
+        store = ArtifactStore(tmp_path / "store")
         group = clifford_group(1)
         assert store.ensure_group_saved(group) is True
         assert store.ensure_group_saved(group) is False
-        assert store.stats["group_writes"] == 1
+        assert store.namespace_stats("groups")["writes"] == 1
 
     def test_manifest_metadata_survives_merge(self, tmp_path):
-        store = CliffordChannelStore(tmp_path / "store")
+        store = ArtifactStore(tmp_path / "store")
         key = "b" * 64
         store.save_channel_table(key, {1: np.eye(4, dtype=complex)}, metadata={"backend": "m"})
         manifest_path = store._manifest_path(key)

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.backend import PulseBackend
-from repro.benchmarking.store import CliffordChannelStore
+from repro.store import ArtifactStore
 from repro.devices import fake_montreal
 from repro.session import GRAPESpec, IRBSpec, RBSpec, Session, SweepSpec, plan_specs
 
@@ -49,7 +49,7 @@ def _run(spec, store, **session_kwargs):
 
 @pytest.fixture
 def store(tmp_path):
-    return CliffordChannelStore(tmp_path / "store")
+    return ArtifactStore(tmp_path / "store")
 
 
 class TestWarmReplay:
@@ -60,7 +60,7 @@ class TestWarmReplay:
         assert cold_stats["executions"] == 1
         assert store.namespace_stats("results")["writes"] == 1
 
-        warm_store = CliffordChannelStore(store.root)
+        warm_store = ArtifactStore(store.root)
         warm, warm_stats = _run(spec, warm_store)
         # zero prep-step builds and zero executions, via the counters
         assert warm_stats == {
@@ -81,7 +81,7 @@ class TestWarmReplay:
     def test_warm_prep_timings_empty(self, store):
         spec = RBSpec(**FAST_RB)
         _run(spec, store)
-        with Session(store=CliffordChannelStore(store.root), num_workers=1) as session:
+        with Session(store=ArtifactStore(store.root), num_workers=1) as session:
             session.run(spec)
             assert session.prep_timings == {}
 
@@ -91,7 +91,7 @@ class TestWarmReplay:
         refanned = RBSpec(**FAST_RB, num_workers=1)
         assert refanned.cache_fingerprint() == base.cache_fingerprint()
         assert refanned.fingerprint() != base.fingerprint()
-        warm, stats = _run(refanned, CliffordChannelStore(store.root))
+        warm, stats = _run(refanned, ArtifactStore(store.root))
         assert warm.cache_hit and stats["executions"] == 0
         assert warm.payload_fingerprint() == cold.payload_fingerprint()
 
@@ -100,7 +100,7 @@ class TestInvalidation:
     def test_spec_drift_misses(self, store):
         _run(RBSpec(**FAST_RB), store)
         drifted = RBSpec(**{**FAST_RB, "seed": 6})
-        result, stats = _run(drifted, CliffordChannelStore(store.root))
+        result, stats = _run(drifted, ArtifactStore(store.root))
         assert not result.cache_hit
         assert stats == {
             "cache_hits": 0, "cache_misses": 1, "executions": 1, "prep_builds": 3,
@@ -113,7 +113,7 @@ class TestInvalidation:
         drifted_props = montreal_props.with_qubit(0, t1=5_000.0, t2=5_000.0)
         backend = PulseBackend(drifted_props, calibrated_qubits=[0, 1], seed=5)
         with Session(
-            backend={"montreal": backend}, store=CliffordChannelStore(store.root),
+            backend={"montreal": backend}, store=ArtifactStore(store.root),
             num_workers=1,
         ) as session:
             result = session.run(spec)
@@ -151,7 +151,7 @@ class TestInvalidation:
     def test_engine_is_part_of_the_cache_key(self, store):
         _run(RBSpec(**FAST_RB), store)
         circuits = RBSpec(**{**FAST_RB, "engine": "circuits"})
-        result, stats = _run(circuits, CliffordChannelStore(store.root))
+        result, stats = _run(circuits, ArtifactStore(store.root))
         assert not result.cache_hit and stats["executions"] == 1
 
 
@@ -164,7 +164,7 @@ class TestSweepGranularity:
         assert cold.provenance["cached_points"] == 0
 
         wider = SweepSpec(base=base, grid={"seed": (1, 2, 3)})
-        warm_store = CliffordChannelStore(store.root)
+        warm_store = ArtifactStore(store.root)
         warm, warm_stats = _run(wider, warm_store)
         assert warm_stats["cache_hits"] == 2
         assert warm_stats["executions"] == 1  # only seed=3 ran
@@ -182,7 +182,7 @@ class TestSweepGranularity:
     def test_fully_cached_sweep_executes_nothing(self, store):
         sweep = SweepSpec(base=RBSpec(**FAST_RB), grid={"seed": (1, 2)})
         _run(sweep, store)
-        warm, stats = _run(sweep, CliffordChannelStore(store.root))
+        warm, stats = _run(sweep, ArtifactStore(store.root))
         assert stats["executions"] == 0 and stats["prep_builds"] == 0
         assert warm.provenance["cached_points"] == 2
 
@@ -192,14 +192,14 @@ class TestCacheAwarePlanner:
         cached_spec = RBSpec(**FAST_RB)
         _run(cached_spec, store)
         cold_spec = RBSpec(**{**FAST_RB, "seed": 99})
-        plan = plan_specs([cached_spec, cold_spec], store=CliffordChannelStore(store.root))
+        plan = plan_specs([cached_spec, cold_spec], store=ArtifactStore(store.root))
         assert plan.cached == [0]
         # every remaining step is consumed by the cold spec only
         for key, consumers in plan.consumers.items():
             assert consumers == [1]
         assert "1 cached" in plan.describe()
         # a fully cached batch plans zero steps
-        warm_plan = plan_specs([cached_spec], store=CliffordChannelStore(store.root))
+        warm_plan = plan_specs([cached_spec], store=ArtifactStore(store.root))
         assert warm_plan.steps == [] and warm_plan.cached == [0]
 
     def test_plan_without_store_is_unchanged(self):
@@ -214,7 +214,7 @@ class TestExactlyOncePublication:
         result, _ = _run(spec, store)
         key = spec.cache_fingerprint()
         props = result.provenance["properties_fingerprint"]
-        racing = CliffordChannelStore(store.root)
+        racing = ArtifactStore(store.root)
         racing.rm(key, namespace="results")  # start cold again
         barrier = threading.Barrier(4)
         outcomes = []
@@ -239,8 +239,8 @@ class TestExactlyOncePublication:
     def test_concurrent_sessions_converge(self, store):
         """Two sessions over one store: exactly one result write in total."""
         spec = RBSpec(**FAST_RB)
-        store_a = CliffordChannelStore(store.root)
-        store_b = CliffordChannelStore(store.root)
+        store_a = ArtifactStore(store.root)
+        store_b = ArtifactStore(store.root)
         results = {}
 
         def run(name, st):
@@ -270,14 +270,14 @@ class TestCorruption:
         )
         path.write_text(path.read_text()[: len(path.read_text()) // 2])  # truncate
 
-        repaired_store = CliffordChannelStore(store.root)
+        repaired_store = ArtifactStore(store.root)
         warm, stats = _run(spec, repaired_store)
         assert not warm.cache_hit
         assert stats["executions"] == 1
         assert repaired_store.namespace_stats("results")["corrupt"] == 1
         # the rerun republished a valid, bit-identical entry
         assert repaired_store.namespace_stats("results")["writes"] == 1
-        again, again_stats = _run(spec, CliffordChannelStore(store.root))
+        again, again_stats = _run(spec, ArtifactStore(store.root))
         assert again.cache_hit and again_stats["executions"] == 0
         assert again.payload_fingerprint() == cold.payload_fingerprint()
 
@@ -288,7 +288,7 @@ class TestCorruption:
             spec.cache_fingerprint(), cold.provenance["properties_fingerprint"]
         )
         path.write_text("{\"format\": \"something-else\"}")
-        warm, stats = _run(spec, CliffordChannelStore(store.root))
+        warm, stats = _run(spec, ArtifactStore(store.root))
         assert not warm.cache_hit and stats["executions"] == 1
 
 
@@ -297,7 +297,7 @@ class TestOptOut:
         spec = RBSpec(**FAST_RB)
         cold, _ = _run(spec, store)
         monkeypatch.setenv("REPRO_RESULT_CACHE", "0")
-        warm, stats = _run(spec, CliffordChannelStore(store.root))
+        warm, stats = _run(spec, ArtifactStore(store.root))
         assert not warm.cache_hit
         assert stats["executions"] == 1
         # the forced cold run is bit-identical to the cached entry
@@ -307,7 +307,7 @@ class TestOptOut:
         spec = RBSpec(**FAST_RB)
         _run(spec, store)
         monkeypatch.setenv("REPRO_RESULT_CACHE", "false")
-        with Session(store=CliffordChannelStore(store.root), num_workers=1,
+        with Session(store=ArtifactStore(store.root), num_workers=1,
                      result_cache=True) as session:
             assert session.result_cache is False
             assert not session.run(spec).cache_hit
@@ -315,7 +315,7 @@ class TestOptOut:
     def test_session_argument_opt_out(self, store):
         spec = RBSpec(**FAST_RB)
         _run(spec, store)
-        warm, stats = _run(spec, CliffordChannelStore(store.root), result_cache=False)
+        warm, stats = _run(spec, ArtifactStore(store.root), result_cache=False)
         assert not warm.cache_hit and stats["executions"] == 1
 
     def test_no_store_disables_cache(self):
@@ -342,7 +342,7 @@ class TestPulsePersistence:
 
         # fresh session, result cache disabled: the grape artifact is
         # rebuilt — but from the persisted pulse, not the optimizer
-        warm_store = CliffordChannelStore(store.root)
+        warm_store = ArtifactStore(store.root)
         with Session(store=warm_store, num_workers=1) as session:
             schedule = session.schedule_for(grape)
             optimization = session.optimization_for(grape)
@@ -362,7 +362,7 @@ class TestPulsePersistence:
         cold, _ = _run(spec, store)
         # drop the cached *result* but keep the persisted pulse: the rerun
         # replays the stored amplitudes and must stay bit-identical
-        warm_store = CliffordChannelStore(store.root)
+        warm_store = ArtifactStore(store.root)
         warm_store.rm(spec.cache_fingerprint(), namespace="results")
         warm, stats = _run(spec, warm_store)
         assert stats["executions"] == 1
@@ -383,6 +383,6 @@ class TestPulsePersistence:
         grape = GRAPESpec(**FAST_GRAPE)
         _run(grape, store)
         monkeypatch.setenv("REPRO_RESULT_CACHE", "0")
-        with Session(store=CliffordChannelStore(store.root), num_workers=1) as session:
+        with Session(store=ArtifactStore(store.root), num_workers=1) as session:
             session.schedule_for(grape)
         assert calls == ["x", "x"]  # forced cold: optimizer ran again

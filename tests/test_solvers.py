@@ -19,8 +19,13 @@ from repro.solvers import (
     rk4_integrate,
     sesolve,
 )
-from repro.solvers.expm_utils import expm_frechet_hermitian_multi
-from repro.solvers.propagator import assemble_pwc_hamiltonians
+from repro.solvers.expm_utils import (
+    expm_batch,
+    expm_frechet_hermitian_multi,
+    expm_hermitian_batch,
+    hermitian_eig_batch,
+)
+from repro.solvers.propagator import assemble_pwc_hamiltonians, chain_propagator_product
 from repro.utils.linalg import is_unitary
 from repro.utils.validation import ValidationError
 
@@ -64,6 +69,50 @@ class TestExpm:
             assert np.allclose(u, u_single)
             assert np.allclose(du, du_single)
 
+
+
+def _hermitian_stack(n: int = 6, d: int = 4, seed: int = 7) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    return (m + np.conj(np.swapaxes(m, -1, -2))) / 2.0
+
+
+def _general_stack(n: int = 5, d: int = 4, seed: int = 11) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+
+
+class TestBatchedKernels:
+    def test_kernels_bit_identical_to_preseam_formulas(self):
+        """Each batched kernel's output equals the inlined NumPy computation."""
+        herm = _hermitian_stack()
+        evals, evecs = hermitian_eig_batch(herm)
+        ref_evals, ref_evecs = np.linalg.eigh(herm.astype(complex))
+        assert np.array_equal(evals, ref_evals)
+        assert np.array_equal(evecs, ref_evecs)
+
+        scale = -1j * 0.02
+        phases = np.exp(scale * ref_evals)
+        ref_steps = np.matmul(
+            ref_evecs * phases[..., None, :], np.conj(np.swapaxes(ref_evecs, -1, -2))
+        )
+        assert np.array_equal(expm_hermitian_batch(herm, scale=scale), ref_steps)
+
+        # chain product: one np.matmul per pairwise reduction level
+        mats = ref_steps
+        while mats.shape[0] > 1:
+            half = mats.shape[0] // 2
+            reduced = np.matmul(mats[1 : 2 * half : 2], mats[0 : 2 * half : 2])
+            if mats.shape[0] % 2:
+                reduced = np.concatenate([reduced, mats[-1:]])
+            mats = reduced
+        assert np.array_equal(chain_propagator_product(ref_steps), mats[0])
+
+    def test_expm_batch_matches_scipy_per_slice(self):
+        gen = _general_stack() * 0.3
+        batched = expm_batch(gen)
+        for k in range(gen.shape[0]):
+            assert np.allclose(batched[k], la.expm(gen[k]), atol=1e-12)
 
 class TestPWCPropagators:
     def test_assemble_hamiltonians(self):

@@ -12,15 +12,9 @@ import numpy as np
 import pytest
 
 from repro.backend import PulseBackend
-from repro.benchmarking import (
-    CliffordChannelStore,
-    InterleavedRBExperiment,
-    RBExperiment,
-    clifford_channel_table,
-    resolve_store,
-)
+from repro.benchmarking import InterleavedRBExperiment, RBExperiment, clifford_channel_table
 from repro.benchmarking.clifford import CliffordGroup, clifford_group
-from repro.benchmarking.store import STORE_FORMAT_VERSION, default_store_root
+from repro.store import STORE_FORMAT_VERSION, ArtifactStore, default_store_root, resolve_store
 from repro.devices import fake_montreal
 from repro.utils import parallel
 from repro.utils.parallel import parallel_map, shutdown_pool
@@ -29,7 +23,7 @@ from repro.utils.validation import ValidationError
 
 @pytest.fixture
 def store(tmp_path):
-    return CliffordChannelStore(tmp_path / "store")
+    return ArtifactStore(tmp_path / "store")
 
 
 @pytest.fixture
@@ -44,7 +38,7 @@ class TestResolveStore:
 
     def test_path_and_instance_pass_through(self, tmp_path):
         resolved = resolve_store(tmp_path)
-        assert isinstance(resolved, CliffordChannelStore)
+        assert isinstance(resolved, ArtifactStore)
         assert resolved.root == tmp_path
         assert resolve_store(resolved) is resolved
 
@@ -69,7 +63,7 @@ class TestChannelTableRoundTrip:
         reference = {i: np.array(table.channel_by_index(i)) for i in indices}
 
         # fresh store object + fresh backend = a new session
-        store2 = CliffordChannelStore(store.root)
+        store2 = ArtifactStore(store.root)
         backend2 = PulseBackend(montreal_props, calibrated_qubits=[0, 1], seed=1)
         table2 = clifford_channel_table(backend2, [0], group, store=store2)
         assert len(table2) == len(group)  # served from disk, nothing rebuilt
@@ -115,7 +109,7 @@ class TestChannelTableRoundTrip:
         )
         experiment.run()
         assert store_backend.channel_store.load_channel_table(
-            CliffordChannelStore.channel_table_key(store_backend, (0,), clifford_group(1))
+            ArtifactStore.channel_table_key(store_backend, (0,), clifford_group(1))
         ) is None
 
 
@@ -123,9 +117,9 @@ class TestInvalidation:
     def test_drifted_properties_produce_a_different_key(self, montreal_props, store):
         backend = PulseBackend(montreal_props, calibrated_qubits=[0, 1], seed=1)
         group = clifford_group(1)
-        key = CliffordChannelStore.channel_table_key(backend, (0,), group)
+        key = ArtifactStore.channel_table_key(backend, (0,), group)
         backend.properties = montreal_props.with_qubit(0, t1=5_000.0, t2=5_000.0)
-        drifted_key = CliffordChannelStore.channel_table_key(backend, (0,), group)
+        drifted_key = ArtifactStore.channel_table_key(backend, (0,), group)
         assert key != drifted_key
 
     def test_drift_busts_the_store_and_rebuilds(self, montreal_props, store):
@@ -154,18 +148,18 @@ class TestInvalidation:
     def test_custom_schedule_map_entry_busts_the_key(self, montreal_props, store):
         backend = PulseBackend(montreal_props, calibrated_qubits=[0, 1], seed=1)
         group = clifford_group(1)
-        key = CliffordChannelStore.channel_table_key(backend, (0,), group)
+        key = ArtifactStore.channel_table_key(backend, (0,), group)
         # override the default x calibration with the sx schedule
         sx_schedule = backend.instruction_schedule_map.get("sx", (0,))
         backend.instruction_schedule_map.add("x", (0,), sx_schedule)
-        assert CliffordChannelStore.channel_table_key(backend, (0,), group) != key
+        assert ArtifactStore.channel_table_key(backend, (0,), group) != key
 
     def test_format_version_busts_everything(self, montreal_props, store, monkeypatch):
         backend = PulseBackend(montreal_props, calibrated_qubits=[0, 1], seed=1)
         group = clifford_group(1)
         table = clifford_channel_table(backend, [0], group, store=store)
         table.ensure([0])
-        monkeypatch.setattr("repro.benchmarking.store.STORE_FORMAT_VERSION", STORE_FORMAT_VERSION + 1)
+        monkeypatch.setattr("repro.store.channels.STORE_FORMAT_VERSION", STORE_FORMAT_VERSION + 1)
         assert store.load_channel_table(table.store_key) is None
 
 
@@ -207,7 +201,7 @@ class TestConcurrentReaders:
 
         # a "loser" generation holding only element 0, as a racing writer
         # that started from an empty table would publish
-        losing_store = CliffordChannelStore(store.root)
+        losing_store = ArtifactStore(store.root)
         probe = clifford_channel_table(backend, [0], clifford_group(1))
         probe.ensure([0])
         stale_handle = losing_store.handle(probe.store_key)
