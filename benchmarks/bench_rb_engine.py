@@ -41,13 +41,14 @@ table) and once on the per-circuit ``circuits`` reference.  The per-depth
 fidelities and fitted layer fidelity must agree to ≤ 1e-6, and the
 channels path must be ≥ 5× faster (``protocol_zoo_gain``).
 
-``test_grape_sweep_batch`` benchmarks cross-point batched GRAPE: a sweep
-over seeds × initial-pulse scales of one gate model is run once with the
-planner's per-point fan-out (``grape_batch=False``) and once with the
-stacked optimization (the default).  The batched leg must plan exactly one
-``grape_batch`` prep step and produce a payload bit-identical (volatile
-wall-clock/root fields scrubbed) to the fan-out leg; the wall-clock ratio
-is the recorded ``grape_sweep_batch_gain``.
+``test_grape_sweep_batch`` benchmarks cross-point batched GRAPE: the points
+of a sweep over seeds × initial-pulse scales of one gate model are run once
+one at a time (``session.run(point)``, the per-point fan-out) and once as
+the sweep, which stacks them into one optimization.  The batched leg must
+plan exactly one ``grape_batch`` prep step and produce per-point spec,
+payload and provenance bit-identical (volatile wall-clock/root/trace fields
+scrubbed) to the fan-out leg; the wall-clock ratio is the recorded
+``grape_sweep_batch_gain``.
 """
 
 import json
@@ -484,23 +485,29 @@ def _grape_sweep_batched_vs_fanout(root) -> dict:
             n_ts=8, include_decoherence=False, max_iter=10, seed=1,
         ))
 
-    def leg(name: str, batch: bool):
-        with Session(
-            store=ArtifactStore(root / name), num_workers=1, grape_batch=batch,
-        ) as session:
+    def leg(name: str, run):
+        with Session(store=ArtifactStore(root / name), num_workers=1) as session:
             start = time.perf_counter()
-            result = session.run(sweep)
+            result = run(session)
             wall = time.perf_counter() - start
             return result, wall, dict(session.stats), dict(session.prep_timings)
 
-    fan_result, fan_wall, fan_stats, _ = leg("fanout", False)
-    bat_result, bat_wall, bat_stats, bat_timings = leg("batched", True)
+    fan_results, fan_wall, fan_stats, _ = leg(
+        "fanout", lambda session: [session.run(point) for point in sweep.expand()]
+    )
+    bat_result, bat_wall, bat_stats, bat_timings = leg(
+        "batched", lambda session: session.run(sweep)
+    )
 
     # compare through the lossless-JSON encoding (ndarray-safe, and the
-    # exact representation cached replays are served from)
-    fan_payload = _scrub_volatile(json.loads(fan_result.to_json())["payload"])
-    bat_payload = _scrub_volatile(json.loads(bat_result.to_json())["payload"])
-    identical = fan_payload == bat_payload
+    # exact representation cached replays are served from): each point
+    # run on its own against the sweep's child of the same point
+    fan_children = [
+        _scrub_volatile({key: doc[key] for key in ("spec", "payload", "provenance")})
+        for doc in (json.loads(result.to_json()) for result in fan_results)
+    ]
+    bat_children = _scrub_volatile(json.loads(bat_result.to_json())["payload"]["children"])
+    identical = fan_children == bat_children
     return {
         "n_points": n_points,
         "fanout_wall_clock_s": fan_wall,

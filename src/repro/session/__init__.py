@@ -9,11 +9,11 @@ workloads instead of ad-hoc driver functions:
   :class:`RBSpec`, :class:`IRBSpec`, :class:`XEBSpec`,
   :class:`PurityRBSpec`, :class:`CycleBenchSpec`, and the containers
   :class:`SweepSpec` / :class:`DriftStudySpec`) with
-  ``to_dict``/``from_dict`` round-trips and content fingerprints,
+  ``to_dict``/``from_dict`` round-trips and content fingerprints; each
+  concrete spec lists its own preparation steps and executes itself,
 * :mod:`~repro.session.planner` — the pure cross-experiment planner that
-  fingerprints each spec's preparation needs and deduplicates shared
-  artifacts (Clifford groups, device backends, GRAPE pulses, channel
-  tables) across a batch,
+  deduplicates the specs' preparation steps (Clifford groups, device
+  backends, GRAPE pulses, channel tables) across a batch,
 * :mod:`~repro.session.session` — :class:`Session`, owning the backends,
   the persistent store and the process pool; ``submit(spec)`` returns a
   future, ``run_all(specs)`` plans jointly and fans out,
@@ -24,14 +24,7 @@ See ``docs/sessions.md`` for the full API guide and the migration notes
 from the legacy figure drivers.
 """
 
-from .planner import (
-    PrepStep,
-    SessionPlan,
-    expand_specs,
-    plan_specs,
-    prep_steps_for,
-    register_spec_planner,
-)
+from .planner import SessionPlan, expand_specs, plan_specs
 from .results import ExperimentResult
 from .session import Session
 from .specs import (
@@ -41,6 +34,7 @@ from .specs import (
     GRAPESpec,
     IRBSpec,
     OptimizerSpec,
+    PrepStep,
     PurityRBSpec,
     RBSpec,
     SweepSpec,
@@ -67,7 +61,5 @@ __all__ = [
     "SessionPlan",
     "PrepStep",
     "plan_specs",
-    "prep_steps_for",
-    "register_spec_planner",
     "expand_specs",
 ]

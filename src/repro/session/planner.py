@@ -39,7 +39,7 @@ Step kinds, in build order:
     grid and model class — only initial conditions and targets differ) into
     one cross-point optimization pass (see
     :mod:`repro.core.grape_batch`); bit-identical to the per-point path,
-    gated by ``$REPRO_GRAPE_BATCH`` / ``plan_specs(batch_grape=...)``.
+    which a singleton plan (one ``Session.run`` of one point) still takes.
 ``grape``
     Run one pulse optimization and lower it to a schedule.
 ``table``
@@ -47,78 +47,30 @@ Step kinds, in build order:
     covering the union of element indices every consumer's sequences
     touch — with a persistent store attached this is the single write the
     store counters observe.
+
+What each spec kind needs is not decided here: every concrete spec lists
+its own steps (:meth:`~repro.session.specs.ExperimentSpec.prep_steps`), and
+the planner only deduplicates, groups GRAPE points and orders them.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
-from .specs import ExperimentSpec, GRAPESpec
-from ..utils.validation import ValidationError
+from .specs import ExperimentSpec, GRAPESpec, PrepStep
 
 __all__ = [
     "PrepStep",
     "SessionPlan",
     "plan_specs",
     "expand_specs",
-    "prep_steps_for",
-    "register_spec_planner",
-    "grape_batching_enabled",
-    "GRAPE_BATCH_ENV",
 ]
-
-#: Environment switch of cross-point GRAPE batching (default on).
-GRAPE_BATCH_ENV = "REPRO_GRAPE_BATCH"
-
-_FALSY = {"0", "false", "no", "off"}
 
 #: Build order of preparation kinds (dependencies point left).  A
 #: ``grape_batch`` step precedes the per-point ``grape`` steps of its
 #: members so the stacked pass registers their artifacts first; the solo
 #: steps then find them already built.
 _KIND_ORDER = ("group", "backend", "grape_batch", "grape", "table")
-
-
-def grape_batching_enabled(flag: bool | None = None) -> bool:
-    """Resolve the GRAPE-batching switch from an argument and the environment.
-
-    Mirrors :func:`repro.store.results.result_cache_enabled`: batching is on
-    by default, ``flag=False`` (``Session(grape_batch=False)`` /
-    ``plan_specs(batch_grape=False)``) disables it, and
-    ``$REPRO_GRAPE_BATCH=0`` always wins so a per-point baseline can be
-    forced without touching code.
-    """
-    env = os.environ.get(GRAPE_BATCH_ENV)
-    env_ok = env is None or env.strip().lower() not in _FALSY
-    flag_ok = True if flag is None else bool(flag)
-    return env_ok and flag_ok
-
-
-@dataclass(frozen=True)
-class PrepStep:
-    """One shared preparation artifact to build exactly once.
-
-    Attributes
-    ----------
-    key : tuple
-        Hashable content key, e.g. ``("table", "montreal", (0,))`` or
-        ``("grape", "<fingerprint>")``.  Two specs needing the same key
-        share one build.
-    kind : str
-        ``"group"`` | ``"backend"`` | ``"grape"`` | ``"table"``.
-    detail : str
-        Human-readable description (for logs and plan reprs).
-    payload : object, optional
-        Kind-specific build input — for ``grape`` steps, the
-        :class:`~repro.session.specs.GRAPESpec` itself (its fingerprint is
-        already in the key, so equal keys imply equal payloads).
-    """
-
-    key: tuple
-    kind: str
-    detail: str
-    payload: object = None
 
 
 @dataclass
@@ -161,13 +113,6 @@ class SessionPlan:
         return "\n".join(lines)
 
 
-def _canonical_device(device: str) -> str:
-    """Canonical device key — delegates to the device registry's aliasing."""
-    from ..devices.library import canonical_device_name
-
-    return canonical_device_name(device)
-
-
 def expand_specs(specs) -> list[ExperimentSpec]:
     """Flatten containers (sweeps, drift studies) into concrete specs.
 
@@ -183,117 +128,6 @@ def expand_specs(specs) -> list[ExperimentSpec]:
     return flat
 
 
-#: Per-kind prep planners (``spec.kind`` → planner callable); filled by
-#: :func:`register_spec_planner`.  New spec kinds plug in here and inherit
-#: dedup, cache-aware planning and session execution without touching
-#: :func:`plan_specs`.
-_SPEC_PLANNERS: dict[str, object] = {}
-
-
-def register_spec_planner(*kinds: str):
-    """Decorator registering a planner callable for one or more spec kinds."""
-
-    def decorator(fn):
-        for kind in kinds:
-            _SPEC_PLANNERS[kind] = fn
-        return fn
-
-    return decorator
-
-
-def prep_steps_for(spec: ExperimentSpec) -> list[PrepStep]:
-    """The preparation steps one concrete spec needs, in build order."""
-    if spec.is_container:
-        raise ValidationError("expand containers before planning (see expand_specs)")
-    planner = _SPEC_PLANNERS.get(spec.kind)
-    if planner is None:
-        raise ValidationError(
-            f"cannot plan spec of kind {getattr(spec, 'kind', '?')!r}; "
-            f"registered: {sorted(_SPEC_PLANNERS)}"
-        )
-    return planner(spec)
-
-
-def _backend_step(device: str) -> PrepStep:
-    return PrepStep(
-        key=("backend", device), kind="backend", detail=f"PulseBackend({device})"
-    )
-
-
-def _pulse_step(spec: ExperimentSpec) -> PrepStep:
-    """The shared ``grape`` step of a pulse spec, keyed canonically.
-
-    Keys on :meth:`canonical_pulse_spec`'s fingerprint, so an lbfgs
-    ``OptimizerSpec`` and its equivalent legacy ``GRAPESpec`` share one
-    optimization artifact — the thin-alias contract.
-    """
-    canonical = spec.canonical_pulse_spec()
-    device = _canonical_device(canonical.device)
-    method = getattr(canonical, "method", "LBFGS")
-    return PrepStep(
-        key=("grape", canonical.fingerprint()),
-        kind="grape",
-        detail=(
-            f"optimize {canonical.gate} ({canonical.duration_ns:g} ns, "
-            f"{str(method).lower()}) on {device}"
-        ),
-        payload=canonical,
-    )
-
-
-@register_spec_planner("grape", "optimizer")
-def _plan_pulse_spec(spec) -> list[PrepStep]:
-    device = _canonical_device(spec.device)
-    return [_backend_step(device), _pulse_step(spec)]
-
-
-@register_spec_planner("rb", "irb")
-def _plan_rb_spec(spec) -> list[PrepStep]:
-    device = _canonical_device(spec.device)
-    n_qubits = len(spec.qubits)
-    steps: list[PrepStep] = [
-        PrepStep(
-            key=("group", n_qubits),
-            kind="group",
-            detail=f"{n_qubits}-qubit Clifford group",
-        ),
-        _backend_step(device),
-    ]
-    calibration = getattr(spec, "calibration", None)
-    if calibration is not None:
-        calibration_device = _canonical_device(calibration.device)
-        if calibration_device != device:
-            steps.append(_backend_step(calibration_device))
-        steps.append(_pulse_step(calibration))
-    steps.append(
-        PrepStep(
-            key=("table", device, spec.qubits),
-            kind="table",
-            detail=f"Clifford channel table {device} q{list(spec.qubits)}",
-        )
-    )
-    return steps
-
-
-@register_spec_planner("xeb", "purity_rb", "cycle")
-def _plan_protocol_spec(spec) -> list[PrepStep]:
-    device = _canonical_device(spec.device)
-    n_qubits = len(spec.qubits)
-    return [
-        PrepStep(
-            key=("group", n_qubits),
-            kind="group",
-            detail=f"{n_qubits}-qubit Clifford group",
-        ),
-        _backend_step(device),
-        PrepStep(
-            key=("table", device, spec.qubits),
-            kind="table",
-            detail=f"Clifford channel table {device} q{list(spec.qubits)}",
-        ),
-    ]
-
-
 def _grape_group_key(spec: GRAPESpec) -> tuple:
     """Model-identity key of a GRAPE spec for cross-point batching.
 
@@ -306,8 +140,10 @@ def _grape_group_key(spec: GRAPESpec) -> tuple:
     the target gate itself may all differ — they only change initial
     conditions and targets, which the stacked evaluator carries per point.
     """
+    from ..devices.library import canonical_device_name
+
     return (
-        _canonical_device(spec.device),
+        canonical_device_name(spec.device),
         spec.qubits,
         spec.duration_ns,
         spec.n_ts,
@@ -368,7 +204,7 @@ def _device_properties_fingerprint(device: str) -> str:
     return get_device(device).fingerprint()
 
 
-def plan_specs(specs, store=None, properties_fingerprint=None, batch_grape=None) -> SessionPlan:
+def plan_specs(specs, store=None, properties_fingerprint=None) -> SessionPlan:
     """Build the deduplicated preparation plan of a batch of specs.
 
     Parameters
@@ -385,17 +221,14 @@ def plan_specs(specs, store=None, properties_fingerprint=None, batch_grape=None)
         ``device name -> properties fingerprint`` used for the cache
         probe.  Defaults to fingerprinting the library device; a session
         passes its own resolver so adopted backends are honoured.
-    batch_grape : bool, optional
-        Whether model-identical closed-system GRAPE points are grouped into
-        ``grape_batch`` steps (see :func:`grape_batching_enabled`; the
-        ``$REPRO_GRAPE_BATCH`` environment override always wins).
 
     Returns
     -------
     SessionPlan
         Unique steps in dependency order (groups, then backends, then
         GRAPE optimizations, then channel tables), each annotated with its
-        consumer specs.
+        consumer specs.  Model-identical closed-system GRAPE points are
+        grouped into ``grape_batch`` steps.
     """
     flat = expand_specs(specs)
     cached: list[int] = []
@@ -418,11 +251,10 @@ def plan_specs(specs, store=None, properties_fingerprint=None, batch_grape=None)
     for position, spec in enumerate(flat):
         if position in cached_set:
             continue
-        for step in prep_steps_for(spec):
+        for step in spec.prep_steps():
             by_key.setdefault(step.key, step)
             consumers.setdefault(step.key, []).append(position)
-    if grape_batching_enabled(batch_grape):
-        _grape_batch_steps(by_key, consumers)
+    _grape_batch_steps(by_key, consumers)
     ordered = sorted(
         by_key.values(),
         key=lambda s: (_KIND_ORDER.index(s.kind), s.key),

@@ -20,9 +20,10 @@ Clifford channel store, and the process-pool fan-out — and executes
     with Session(store="auto", num_workers=0) as session:
         custom_result, default_result = session.run_all([custom, default])
 
-``run_all`` plans the batch first (see
-:mod:`repro.session.planner`): shared preparation — the Clifford group,
-the device backend, the GRAPE pulse nested by ``custom``, and the
+``run_all`` plans the batch first (see :mod:`repro.session.planner`; each
+spec lists its own preparation and executes itself, see
+:mod:`repro.session.specs`): shared preparation — the Clifford group, the
+device backend, the GRAPE pulse nested by ``custom``, and the
 per-Clifford channel table both IRB curves replay — is built exactly
 once, then execution fans out.  ``submit(spec)`` returns a
 :class:`~concurrent.futures.Future` immediately; concurrent submits of
@@ -57,9 +58,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .planner import SessionPlan, plan_specs, prep_steps_for
+from .planner import SessionPlan, plan_specs
 from .results import ExperimentResult
 from .specs import ExperimentSpec, GRAPESpec, OptimizerSpec
 from ..obs import ShadowSampler, Trace, resolve_trace_sink
@@ -120,12 +119,6 @@ class Session:
     shadow_seed : int, optional
         Seed of the shadow sampling RNG (deterministic sampling for
         tests; never influences experiment payloads).
-    grape_batch : bool, optional
-        Whether batch plans group model-identical closed-system GRAPE
-        points into one cross-point stacked optimization (see
-        :mod:`repro.core.grape_batch`).  Defaults to on; pass ``False`` —
-        or set ``REPRO_GRAPE_BATCH=0``, which always wins — to force the
-        per-point baseline.  Results are bit-identical either way.
     """
 
     def __init__(
@@ -139,7 +132,6 @@ class Session:
         shadow_rate: float | None = None,
         trace_sink=None,
         shadow_seed: int | None = None,
-        grape_batch: bool | None = None,
     ):
         from ..store import resolve_store, result_cache_enabled
 
@@ -147,7 +139,6 @@ class Session:
         self.result_cache = self.store is not None and result_cache_enabled(result_cache)
         self.shadow = ShadowSampler(shadow_rate, seed=shadow_seed)
         self.trace_sink = resolve_trace_sink(trace_sink)
-        self.grape_batch = grape_batch
         self._trace_local = threading.local()
         self.num_workers = int(num_workers)
         self.seed = seed
@@ -155,8 +146,10 @@ class Session:
         self._adopted = []
         if backend is not None:
             if isinstance(backend, dict):
+                from ..devices.library import canonical_device_name
+
                 for name, instance in backend.items():
-                    self._backends[_canonical(name)] = instance
+                    self._backends[canonical_device_name(name)] = instance
             else:
                 self._adopted.append(backend)
         self._artifacts: dict[tuple, object] = {}
@@ -223,7 +216,9 @@ class Session:
     # ------------------------------------------------------------------ #
     def backend_for(self, device: str):
         """The session's (shared, lazily created) backend of a device."""
-        device = _canonical(device)
+        from ..devices.library import canonical_device_name
+
+        device = canonical_device_name(device)
         return self._artifact(("backend", device), lambda: self._build_backend(device))
 
     def schedule_for(self, spec: GRAPESpec):
@@ -233,10 +228,6 @@ class Session:
     def optimization_for(self, spec: GRAPESpec):
         """The raw :class:`OptimResult` of a GRAPE spec (prepared once)."""
         return self._grape_artifact(spec)[0]
-
-    def _experiment_store(self):
-        """Store argument for experiment constructors (``False`` = off)."""
-        return self.store if self.store is not None else False
 
     def _bump_stat(self, counter: str, n: int = 1) -> None:
         """Increment one session counter (thread-safe)."""
@@ -273,21 +264,17 @@ class Session:
         caches.  Only the immutable library-device fingerprint is
         memoized.
         """
-        device = _canonical(device)
+        from ..devices.library import canonical_device_name, get_device
+
+        device = canonical_device_name(device)
         registered = self._backends.get(device)
         if registered is not None:
             return registered.properties.fingerprint()
         fp = self._props_fps.get(device)
         if fp is None:
-            from ..devices.library import get_device
-
             fp = get_device(device).fingerprint()
             self._props_fps[device] = fp
         return fp
-
-    def _resolve_workers(self, spec) -> int:
-        spec_workers = getattr(spec, "num_workers", None)
-        return self.num_workers if spec_workers is None else int(spec_workers)
 
     # ------------------------------------------------------------------ #
     # submission API
@@ -338,7 +325,6 @@ class Session:
             specs,
             store=self.store if self.result_cache else None,
             properties_fingerprint=self.properties_fingerprint_for,
-            batch_grape=self.grape_batch,
         )
 
     # ------------------------------------------------------------------ #
@@ -454,6 +440,7 @@ class Session:
         spec = spec.canonical_pulse_spec()
 
         def build():
+            from ..devices.library import canonical_device_name
             from ..experiments.gates import optimize_gate_pulse, pulse_schedule_from_result
 
             backend = self.backend_for(spec.device)
@@ -474,7 +461,7 @@ class Session:
                     self.store.save_pulse(
                         pulse_key,
                         optimization,
-                        metadata={"device": _canonical(spec.device), "gate": spec.gate},
+                        metadata={"device": canonical_device_name(spec.device), "gate": spec.gate},
                     )
             schedule = pulse_schedule_from_result(backend.properties, config, optimization)
             return optimization, schedule
@@ -495,6 +482,7 @@ class Session:
         cache entries and every later lookup are indistinguishable from
         the fan-out path.
         """
+        from ..devices.library import canonical_device_name
         from ..experiments.gates import optimize_gate_pulse_batch, pulse_schedule_from_result
 
         cold: list[GRAPESpec] = []
@@ -527,7 +515,7 @@ class Session:
                     self.store.save_pulse(
                         pulse_key,
                         optimization,
-                        metadata={"device": _canonical(spec.device), "gate": spec.gate},
+                        metadata={"device": canonical_device_name(spec.device), "gate": spec.gate},
                     )
                 schedule = pulse_schedule_from_result(backend.properties, config, optimization)
                 self._artifact(
@@ -569,79 +557,26 @@ class Session:
         backend = self.backend_for(device)
         group = self._group_artifact(len(qubits))
         return clifford_channel_table(
-            backend, list(qubits), group, store=self._experiment_store()
+            backend, list(qubits), group, store=self.store if self.store is not None else False
         )
 
     def _used_indices(self, consumers) -> set[int]:
         """Union of group-element indices the consumers' sequences touch.
 
-        Regenerates each consumer's sequences (deterministic in its seed,
-        and cheap — tableau-composed indices, no circuits) with the
-        session's store attached, so the group enumeration resolves
-        through the same persistence path as every other preparation.
-        Every protocol that replays the channel table — RB, IRB, XEB,
-        purity RB and cycle benchmarking — contributes here, so a shared
-        table build covers the union of all protocol workloads.
+        Regenerates each consumer's sequences (``spec.sequences(store)``:
+        deterministic in its seed, and cheap — tableau-composed indices, no
+        circuits) with the session's store attached, so the group
+        enumeration resolves through the same persistence path as every
+        other preparation.  Every protocol that replays the channel table
+        contributes here, so a shared table build covers the union of all
+        protocol workloads.
         """
         from ..benchmarking.engine import used_element_indices
 
         used: set[int] = set()
         for spec in consumers:
-            used |= used_element_indices(self._spec_sequences(spec))
+            used |= used_element_indices(spec.sequences(self.store))
         return used
-
-    def _spec_sequences(self, spec) -> list:
-        """The (circuit-free) sequences a table-consuming spec replays."""
-        if spec.kind in ("rb", "irb"):
-            from ..benchmarking.rb import rb_sequences
-            from ..circuits.gate import Gate
-
-            interleaved = Gate.standard(spec.gate) if spec.kind == "irb" else None
-            return rb_sequences(
-                list(spec.qubits),
-                lengths=spec.lengths,
-                n_seeds=spec.n_seeds,
-                seed=spec.seed,
-                interleaved_gate=interleaved,
-                interleaved_qubits=list(spec.qubits) if interleaved is not None else None,
-                build_circuits=False,
-                store=self.store,
-            )
-        if spec.kind == "xeb":
-            from ..benchmarking.xeb import xeb_sequences
-
-            return xeb_sequences(
-                list(spec.qubits),
-                depths=spec.depths,
-                n_circuits=spec.n_circuits,
-                seed=spec.seed,
-                build_circuits=False,
-                store=self.store,
-            )
-        if spec.kind == "purity_rb":
-            from ..benchmarking.purity import purity_rb_sequences
-
-            return purity_rb_sequences(
-                list(spec.qubits),
-                lengths=spec.lengths,
-                n_seeds=spec.n_seeds,
-                seed=spec.seed,
-                build_circuits=False,
-                store=self.store,
-            )
-        if spec.kind == "cycle":
-            from ..benchmarking.cycle import cycle_sequences
-
-            return cycle_sequences(
-                list(spec.qubits),
-                spec.gate,
-                lengths=spec.lengths,
-                n_seeds=spec.n_seeds,
-                seed=spec.seed,
-                build_circuits=False,
-                store=self.store,
-            )
-        raise ValidationError(f"no sequence generator for spec kind {spec.kind!r}")
 
     # ------------------------------------------------------------------ #
     # execution
@@ -864,7 +799,7 @@ class Session:
         """
         prep_start = time.perf_counter()
         with self._span("plan") as attrs:
-            steps = list(prep_steps_for(spec))
+            steps = spec.prep_steps()
             attrs["n_steps"] = len(steps)
         with self._span("prep"):
             for step in steps:
@@ -873,11 +808,14 @@ class Session:
 
         execute_start = time.perf_counter()
         with self._span("execute", kind=spec.kind):
-            executor_name = self._EXECUTORS.get(spec.kind)
-            if executor_name is None:
-                raise ValidationError(f"cannot execute spec of kind {spec.kind!r}")
-            payload, provenance_extra = getattr(self, executor_name)(spec)
+            payload, provenance_extra = spec.execute(self)
         execute_s = time.perf_counter() - execute_start
+        for step in steps:
+            if step.kind == "table":
+                # the store key of the channel table the spec replayed
+                provenance_extra = {
+                    **provenance_extra, "store_key": self._artifacts[step.key].store_key,
+                }
 
         self._bump_stat("executions")
         backend = self.backend_for(spec.device)
@@ -933,231 +871,6 @@ class Session:
         return ExperimentResult(
             kind=spec.kind, spec=spec.to_dict(), payload=payload, provenance=provenance
         )
-
-    #: Spec kind → executor method name: the single execution registry
-    #: every concrete spec dispatches through.  New spec kinds plug in by
-    #: registering a planner (:func:`~repro.session.planner.register_spec_planner`)
-    #: and adding one executor entry here — cache replay, traces, stats and
-    #: service submission come for free.
-    _EXECUTORS = {
-        "grape": "_execute_grape",
-        "optimizer": "_execute_optimizer",
-        "rb": "_execute_rb",
-        "irb": "_execute_irb",
-        "xeb": "_execute_xeb",
-        "purity_rb": "_execute_purity_rb",
-        "cycle": "_execute_cycle",
-    }
-
-    def _execute_grape(self, spec: GRAPESpec):
-        """Execute a GRAPE spec: expose the pulse and its channel errors."""
-        from ..qobj.gates import standard_gate_unitary
-        from ..qobj.metrics import average_gate_fidelity
-
-        backend = self.backend_for(spec.device)
-        optimization, schedule = self._grape_artifact(spec)
-        gate = spec.gate.lower()
-        target = standard_gate_unitary(gate)
-        custom_channel = backend.simulator.schedule_channel(schedule, qubits=list(spec.qubits))
-        custom_error = 1.0 - average_gate_fidelity(custom_channel, target)
-        if gate == "h":
-            # no standalone default H pulse exists: the default H transpiles
-            # to rz-sx-rz, so its channel error is that of the default sx
-            # (same convention as experiments.gates.run_gate_experiment)
-            default_channel = backend.gate_channel("sx", spec.qubits)
-            default_error = 1.0 - average_gate_fidelity(
-                default_channel, standard_gate_unitary("sx")
-            )
-        else:
-            default_channel = backend.gate_channel(gate, spec.qubits)
-            default_error = 1.0 - average_gate_fidelity(default_channel, target)
-        times = np.arange(optimization.n_ts) * optimization.dt
-        payload = {
-            "times_ns": times,
-            "initial_amps": np.asarray(optimization.initial_amps),
-            "final_amps": np.asarray(optimization.final_amps),
-            "fid_err": float(optimization.fid_err),
-            "n_iter": int(optimization.n_iter),
-            "n_ts": int(optimization.n_ts),
-            "dt": float(optimization.dt),
-            "duration_ns": float(spec.duration_ns),
-            "schedule_duration_samples": int(schedule.duration),
-            "custom_channel_error": float(custom_error),
-            "default_channel_error": float(default_error),
-        }
-        return payload, {"schedule_fingerprint": schedule.fingerprint()}
-
-    def _rb_payload(self, result) -> dict:
-        """Flatten one RBResult into plain payload entries."""
-        return {
-            "lengths": np.asarray(result.lengths),
-            "survival_mean": np.asarray(result.survival_mean),
-            "survival_std": np.asarray(result.survival_std),
-            "alpha": float(result.alpha),
-            "alpha_err": float(result.alpha_err),
-            "error_per_clifford": float(result.error_per_clifford),
-            "error_per_clifford_err": float(result.error_per_clifford_err),
-        }
-
-    def _table_provenance(self, spec) -> dict:
-        """Store key of the channel table a RB/IRB spec replays (if any)."""
-        table = self._artifacts.get(("table", _canonical(spec.device), spec.qubits))
-        if table is None:
-            return {}
-        return {"store_key": table.store_key}
-
-    def _execute_rb(self, spec: RBSpec):
-        """Execute a standard-RB spec through the shared resources."""
-        from ..benchmarking.rb import StandardRB
-
-        backend = self.backend_for(spec.device)
-        experiment = StandardRB(
-            backend,
-            list(spec.qubits),
-            lengths=spec.lengths,
-            n_seeds=spec.n_seeds,
-            shots=spec.shots,
-            seed=spec.seed,
-            engine=spec.engine,
-            num_workers=self._resolve_workers(spec),
-            store=self._experiment_store(),
-        )
-        result = experiment.run()
-        return self._rb_payload(result), self._table_provenance(spec)
-
-    def _execute_irb(self, spec: IRBSpec):
-        """Execute an interleaved-RB spec (custom pulse from its GRAPE)."""
-        from ..benchmarking.irb import InterleavedRBExperiment
-
-        backend = self.backend_for(spec.device)
-        calibration_schedule = None
-        if spec.calibration is not None:
-            calibration_schedule = self._grape_artifact(spec.calibration)[1]
-        experiment = InterleavedRBExperiment(
-            backend,
-            spec.gate,
-            list(spec.qubits),
-            lengths=spec.lengths,
-            n_seeds=spec.n_seeds,
-            shots=spec.shots,
-            seed=spec.seed,
-            custom_calibration=calibration_schedule,
-            engine=spec.engine,
-            num_workers=self._resolve_workers(spec),
-            store=self._experiment_store(),
-        )
-        result = experiment.run()
-        lo, hi = result.systematic_bounds
-        payload = {
-            "gate_name": result.gate_name,
-            "gate_error": float(result.gate_error),
-            "gate_error_std": float(result.gate_error_std),
-            "alpha_c": float(result.alpha_c),
-            "systematic_lower": float(lo),
-            "systematic_upper": float(hi),
-        }
-        for label, curve in (("reference", result.reference), ("interleaved", result.interleaved)):
-            for key, value in self._rb_payload(curve).items():
-                payload[f"{label}_{key}"] = value
-        return payload, self._table_provenance(spec)
-
-    def _execute_optimizer(self, spec: OptimizerSpec):
-        """Execute an optimizer spec: the pulse payload + method digest.
-
-        An ``lbfgs`` spec with no method options **is** the legacy GRAPE
-        path: it normalizes to the equivalent :class:`GRAPESpec` (shared
-        prep artifact, pulse-cache key and result-cache entry), so its
-        payload stays bit-identical to the ``grape`` kind.  Every other
-        method extends the pulse payload with the optimizer's uniform
-        digest (``wall_time`` is deliberately excluded — payloads must be
-        deterministic for cache replay and shadow verification).
-        """
-        canonical = spec.canonical_pulse_spec()
-        payload, provenance_extra = self._execute_grape(spec)
-        if isinstance(canonical, GRAPESpec):
-            return payload, provenance_extra
-        optimization, _ = self._grape_artifact(spec)
-        digest = optimization.summary()
-        payload["method"] = digest["method"]
-        payload["n_fun_evals"] = digest["n_fun_evals"]
-        payload["termination_reason"] = digest["termination_reason"]
-        payload["converged"] = digest["converged"]
-        return payload, provenance_extra
-
-    def _execute_xeb(self, spec):
-        """Execute a linear-XEB spec through the shared resources."""
-        from ..benchmarking.xeb import run_xeb
-
-        backend = self.backend_for(spec.device)
-        result = run_xeb(
-            backend,
-            list(spec.qubits),
-            depths=spec.depths,
-            n_circuits=spec.n_circuits,
-            shots=spec.shots,
-            seed=spec.seed,
-            engine=spec.engine,
-            store=self._experiment_store(),
-        )
-        payload = {
-            "depths": np.asarray(result.depths),
-            "fidelity": np.asarray(result.fidelity),
-            "layer_fidelity": float(result.layer_fidelity),
-            "layer_fidelity_err": float(result.fit.alpha_err),
-        }
-        return payload, self._table_provenance(spec)
-
-    def _execute_purity_rb(self, spec):
-        """Execute a purity-RB (unitarity) spec through the shared resources."""
-        from ..benchmarking.purity import run_purity_rb
-
-        backend = self.backend_for(spec.device)
-        result = run_purity_rb(
-            backend,
-            list(spec.qubits),
-            lengths=spec.lengths,
-            n_seeds=spec.n_seeds,
-            seed=spec.seed,
-            engine=spec.engine,
-            store=self._experiment_store(),
-        )
-        payload = {
-            "lengths": np.asarray(result.lengths),
-            "shifted_purity_mean": np.asarray(result.shifted_purity_mean),
-            "shifted_purity_std": np.asarray(result.shifted_purity_std),
-            "unitarity": float(result.unitarity),
-            "unitarity_err": float(result.unitarity_err),
-        }
-        return payload, self._table_provenance(spec)
-
-    def _execute_cycle(self, spec):
-        """Execute a cycle-benchmarking spec through the shared resources."""
-        from ..benchmarking.cycle import run_cycle_benchmark
-
-        backend = self.backend_for(spec.device)
-        result = run_cycle_benchmark(
-            backend,
-            spec.gate,
-            list(spec.qubits),
-            lengths=spec.lengths,
-            n_seeds=spec.n_seeds,
-            shots=spec.shots,
-            seed=spec.seed,
-            engine=spec.engine,
-            num_workers=self._resolve_workers(spec),
-            store=self._experiment_store(),
-        )
-        payload = {"gate_name": result.gate, **self._rb_payload(result.rb)}
-        payload["error_per_cycle"] = float(result.error_per_cycle)
-        payload["error_per_cycle_err"] = float(result.error_per_cycle_err)
-        return payload, self._table_provenance(spec)
-
-
-def _canonical(device: str) -> str:
-    """Canonical device key shared with the planner."""
-    from .planner import _canonical_device
-
-    return _canonical_device(device)
 
 
 def _counter_deltas(before: dict, after: dict) -> dict:

@@ -15,6 +15,14 @@ has a stable content :meth:`~ExperimentSpec.fingerprint` — the SHA-256 of
 its canonical JSON form, following the content-addressing contract of
 ``docs/caching.md``: equal fingerprints ⇔ identical workloads, so specs
 can be deduplicated, cached and referenced from result provenance.
+
+Each concrete spec class also carries its own kind logic: what it needs
+prepared (:meth:`~ExperimentSpec.prep_steps`, as :class:`PrepStep`
+descriptors the planner deduplicates across a batch), which sequences it
+replays from a shared channel table (``sequences(store)``, table-consuming
+kinds only) and how it executes against a session's prepared resources
+(:meth:`~ExperimentSpec.execute`).  Adding a kind is one subclass here; the
+planner and the session dispatch through these methods only.
 """
 
 from __future__ import annotations
@@ -25,9 +33,12 @@ import json
 from dataclasses import dataclass, fields, replace
 from typing import Any, ClassVar
 
+import numpy as np
+
 from ..utils.validation import ValidationError
 
 __all__ = [
+    "PrepStep",
     "ExperimentSpec",
     "GRAPESpec",
     "OptimizerSpec",
@@ -142,6 +153,27 @@ class ExperimentSpec:
         """Concrete child specs of a container spec (containers only)."""
         raise ValidationError(f"spec kind {self.kind!r} is not a container")
 
+    def prep_steps(self) -> list["PrepStep"]:
+        """The preparation steps this concrete spec needs, in build order.
+
+        Pure: inspects fields only and builds nothing.  Containers are
+        expanded before planning (see
+        :func:`~repro.session.planner.expand_specs`).
+        """
+        if self.is_container:
+            raise ValidationError("expand containers before planning (see expand_specs)")
+        raise ValidationError(f"cannot plan spec of kind {self.kind!r}")
+
+    def execute(self, session) -> tuple[dict, dict]:
+        """Run the spec on a session's prepared resources.
+
+        Called after every :meth:`prep_steps` artifact is built.  Reaches
+        the session only through ``backend_for``, ``schedule_for``,
+        ``optimization_for``, ``store`` and ``num_workers``, and returns
+        ``(payload, provenance_extra)``.
+        """
+        raise ValidationError(f"cannot execute spec of kind {self.kind!r}")
+
     def fingerprint(self) -> str:
         """Stable SHA-256 content address of the spec.
 
@@ -216,7 +248,200 @@ def _check_engine_field(engine: str) -> str:
 
 
 @dataclass(frozen=True)
-class GRAPESpec(ExperimentSpec):
+class PrepStep:
+    """One shared preparation artifact to build exactly once.
+
+    Attributes
+    ----------
+    key : tuple
+        Hashable content key, e.g. ``("table", "montreal", (0,))`` or
+        ``("grape", "<fingerprint>")``.  Two specs needing the same key
+        share one build.
+    kind : str
+        ``"group"`` | ``"backend"`` | ``"grape_batch"`` | ``"grape"`` |
+        ``"table"``.
+    detail : str
+        Human-readable description (for logs and plan reprs).
+    payload : object, optional
+        Kind-specific build input — for ``grape`` steps, the canonical
+        pulse spec itself (its fingerprint is already in the key, so equal
+        keys imply equal payloads); for ``grape_batch`` steps, the tuple
+        of member pulse specs.
+    """
+
+    key: tuple
+    kind: str
+    detail: str
+    payload: object = None
+
+
+def _backend_step(device: str) -> PrepStep:
+    """The shared ``backend`` step of a canonical device name."""
+    return PrepStep(
+        key=("backend", device), kind="backend", detail=f"PulseBackend({device})"
+    )
+
+
+def _pulse_step(spec: ExperimentSpec) -> PrepStep:
+    """The shared ``grape`` step of a pulse spec, keyed canonically.
+
+    Keys on :meth:`canonical_pulse_spec`'s fingerprint, so an lbfgs
+    ``OptimizerSpec`` and its equivalent legacy ``GRAPESpec`` share one
+    optimization artifact — the thin-alias contract.
+    """
+    from ..devices.library import canonical_device_name
+
+    canonical = spec.canonical_pulse_spec()
+    device = canonical_device_name(canonical.device)
+    return PrepStep(
+        key=("grape", canonical.fingerprint()),
+        kind="grape",
+        detail=(
+            f"optimize {canonical.gate} ({canonical.duration_ns:g} ns, "
+            f"{canonical.method.lower()}) on {device}"
+        ),
+        payload=canonical,
+    )
+
+
+def _rb_payload(result) -> dict:
+    """Flatten one RBResult into plain payload entries."""
+    return {
+        "lengths": np.asarray(result.lengths),
+        "survival_mean": np.asarray(result.survival_mean),
+        "survival_std": np.asarray(result.survival_std),
+        "alpha": float(result.alpha),
+        "alpha_err": float(result.alpha_err),
+        "error_per_clifford": float(result.error_per_clifford),
+        "error_per_clifford_err": float(result.error_per_clifford_err),
+    }
+
+
+def _experiment_store(session):
+    """Store argument for experiment constructors (``False`` = off)."""
+    return session.store if session.store is not None else False
+
+
+def _workers(spec, session) -> int:
+    """Process fan-out of a spec: its own ``num_workers`` or the session's."""
+    return session.num_workers if spec.num_workers is None else int(spec.num_workers)
+
+
+@dataclass(frozen=True)
+class _PulseSpec(ExperimentSpec):
+    """Base of the pulse-optimization kinds (:class:`GRAPESpec`, :class:`OptimizerSpec`).
+
+    Prepares the device backend and one (canonically keyed) optimization,
+    then executes by exposing the pulse and the channel errors of the
+    custom and the backend-default gate.
+    """
+
+    def prep_steps(self) -> list[PrepStep]:
+        """Backend, then the shared optimization of the canonical pulse spec."""
+        from ..devices.library import canonical_device_name
+
+        return [_backend_step(canonical_device_name(self.device)), _pulse_step(self)]
+
+    def execute(self, session) -> tuple[dict, dict]:
+        """The optimized pulse and its custom/default channel errors."""
+        from ..qobj.gates import standard_gate_unitary
+        from ..qobj.metrics import average_gate_fidelity
+
+        backend = session.backend_for(self.device)
+        optimization = session.optimization_for(self)
+        schedule = session.schedule_for(self)
+        gate = self.gate.lower()
+        target = standard_gate_unitary(gate)
+        custom_channel = backend.simulator.schedule_channel(schedule, qubits=list(self.qubits))
+        custom_error = 1.0 - average_gate_fidelity(custom_channel, target)
+        if gate == "h":
+            # no standalone default H pulse exists: the default H transpiles
+            # to rz-sx-rz, so its channel error is that of the default sx
+            # (same convention as experiments.gates.run_gate_experiment)
+            default_channel = backend.gate_channel("sx", self.qubits)
+            default_error = 1.0 - average_gate_fidelity(
+                default_channel, standard_gate_unitary("sx")
+            )
+        else:
+            default_channel = backend.gate_channel(gate, self.qubits)
+            default_error = 1.0 - average_gate_fidelity(default_channel, target)
+        times = np.arange(optimization.n_ts) * optimization.dt
+        payload = {
+            "times_ns": times,
+            "initial_amps": np.asarray(optimization.initial_amps),
+            "final_amps": np.asarray(optimization.final_amps),
+            "fid_err": float(optimization.fid_err),
+            "n_iter": int(optimization.n_iter),
+            "n_ts": int(optimization.n_ts),
+            "dt": float(optimization.dt),
+            "duration_ns": float(self.duration_ns),
+            "schedule_duration_samples": int(schedule.duration),
+            "custom_channel_error": float(custom_error),
+            "default_channel_error": float(default_error),
+        }
+        return payload, {"schedule_fingerprint": schedule.fingerprint()}
+
+
+@dataclass(frozen=True)
+class _TableSpec(ExperimentSpec):
+    """Base of the kinds that replay a per-Clifford channel table.
+
+    :class:`RBSpec`, :class:`IRBSpec`, :class:`XEBSpec`,
+    :class:`PurityRBSpec` and :class:`CycleBenchSpec` prepare the Clifford
+    group, the device backend, an optional calibration pulse and the
+    channel table of their (device, qubits); each subclass names the
+    sequences it replays in ``sequences(store)``, so a shared table build
+    covers the union of every consumer's element indices.
+    """
+
+    def prep_steps(self) -> list[PrepStep]:
+        """Group, backend, optional calibration pulse, then the channel table."""
+        from ..devices.library import canonical_device_name
+
+        device = canonical_device_name(self.device)
+        n_qubits = len(self.qubits)
+        steps: list[PrepStep] = [
+            PrepStep(
+                key=("group", n_qubits),
+                kind="group",
+                detail=f"{n_qubits}-qubit Clifford group",
+            ),
+            _backend_step(device),
+        ]
+        calibration = getattr(self, "calibration", None)
+        if calibration is not None:
+            calibration_device = canonical_device_name(calibration.device)
+            if calibration_device != device:
+                steps.append(_backend_step(calibration_device))
+            steps.append(_pulse_step(calibration))
+        steps.append(
+            PrepStep(
+                key=("table", device, self.qubits),
+                kind="table",
+                detail=f"Clifford channel table {device} q{list(self.qubits)}",
+            )
+        )
+        return steps
+
+
+def _rb_sequences(spec, store, interleaved=None) -> list:
+    """Circuit-free (optionally interleaved) RB sequences of an RB/IRB spec."""
+    from ..benchmarking.rb import rb_sequences
+
+    return rb_sequences(
+        list(spec.qubits),
+        lengths=spec.lengths,
+        n_seeds=spec.n_seeds,
+        seed=spec.seed,
+        interleaved_gate=interleaved,
+        interleaved_qubits=list(spec.qubits) if interleaved is not None else None,
+        build_circuits=False,
+        store=store,
+    )
+
+
+@dataclass(frozen=True)
+class GRAPESpec(_PulseSpec):
     """Declarative GRAPE pulse optimization for one gate on one device.
 
     Mirrors :class:`repro.experiments.gates.GateExperimentConfig` plus the
@@ -313,7 +538,7 @@ OPTIMIZER_METHOD_OPTIONS: dict[str, tuple[str, ...]] = {
 
 
 @dataclass(frozen=True)
-class OptimizerSpec(ExperimentSpec):
+class OptimizerSpec(_PulseSpec):
     """Declarative pulse optimization under *any* of the core optimizers.
 
     Generalizes :class:`GRAPESpec` to the full optimizer zoo of
@@ -472,9 +697,30 @@ class OptimizerSpec(ExperimentSpec):
         """The options block as a plain dict for the optimizer call."""
         return dict(self.options)
 
+    def execute(self, session) -> tuple[dict, dict]:
+        """The pulse payload plus, for non-alias methods, the optimizer digest.
+
+        An ``lbfgs`` spec with no method options **is** the legacy GRAPE
+        path: it normalizes to the equivalent :class:`GRAPESpec` (shared
+        prep artifact, pulse-cache key and result-cache entry), so its
+        payload stays bit-identical to the ``grape`` kind.  Every other
+        method extends the pulse payload with the optimizer's uniform
+        digest (``wall_time`` is deliberately excluded — payloads must be
+        deterministic for cache replay and shadow verification).
+        """
+        payload, provenance_extra = super().execute(session)
+        if self.canonical_pulse_spec() is not self:
+            return payload, provenance_extra
+        digest = session.optimization_for(self).summary()
+        payload["method"] = digest["method"]
+        payload["n_fun_evals"] = digest["n_fun_evals"]
+        payload["termination_reason"] = digest["termination_reason"]
+        payload["converged"] = digest["converged"]
+        return payload, provenance_extra
+
 
 @dataclass(frozen=True)
-class RBSpec(ExperimentSpec):
+class RBSpec(_TableSpec):
     """Declarative standard randomized-benchmarking run.
 
     Attributes
@@ -511,6 +757,7 @@ class RBSpec(ExperimentSpec):
             object.__setattr__(self, "lengths", _int_tuple(self.lengths))
         if len(self.qubits) not in (1, 2):
             raise ValidationError(f"RB supports 1 or 2 qubits, got {self.qubits}")
+        _check_engine_field(self.engine)
 
     @classmethod
     def _convert_fields(cls, payload: dict) -> dict:
@@ -519,9 +766,30 @@ class RBSpec(ExperimentSpec):
             payload["lengths"] = _int_tuple(payload["lengths"])
         return payload
 
+    def sequences(self, store) -> list:
+        """The circuit-free RB sequences the spec replays."""
+        return _rb_sequences(self, store)
+
+    def execute(self, session) -> tuple[dict, dict]:
+        """Standard RB through the session's backend and channel table."""
+        from ..benchmarking.rb import StandardRB
+
+        experiment = StandardRB(
+            session.backend_for(self.device),
+            list(self.qubits),
+            lengths=self.lengths,
+            n_seeds=self.n_seeds,
+            shots=self.shots,
+            seed=self.seed,
+            engine=self.engine,
+            num_workers=_workers(self, session),
+            store=_experiment_store(session),
+        )
+        return _rb_payload(experiment.run()), {}
+
 
 @dataclass(frozen=True)
-class IRBSpec(ExperimentSpec):
+class IRBSpec(_TableSpec):
     """Declarative interleaved-RB comparison of one gate.
 
     The interleaved gate's custom pulse — the paper's optimized-pulse
@@ -576,6 +844,7 @@ class IRBSpec(ExperimentSpec):
                 "calibration must be a GRAPESpec, an OptimizerSpec or None, "
                 f"got {type(self.calibration).__name__}"
             )
+        _check_engine_field(self.engine)
 
     @classmethod
     def _convert_fields(cls, payload: dict) -> dict:
@@ -592,9 +861,50 @@ class IRBSpec(ExperimentSpec):
             payload["calibration"] = spec_from_dict(calibration)
         return payload
 
+    def sequences(self, store) -> list:
+        """The circuit-free reference and interleaved sequences the spec replays."""
+        from ..circuits.gate import Gate
+
+        return _rb_sequences(self, store, interleaved=Gate.standard(self.gate))
+
+    def execute(self, session) -> tuple[dict, dict]:
+        """Interleaved RB of the gate (custom pulse from the nested calibration)."""
+        from ..benchmarking.irb import InterleavedRBExperiment
+
+        calibration_schedule = None
+        if self.calibration is not None:
+            calibration_schedule = session.schedule_for(self.calibration)
+        experiment = InterleavedRBExperiment(
+            session.backend_for(self.device),
+            self.gate,
+            list(self.qubits),
+            lengths=self.lengths,
+            n_seeds=self.n_seeds,
+            shots=self.shots,
+            seed=self.seed,
+            custom_calibration=calibration_schedule,
+            engine=self.engine,
+            num_workers=_workers(self, session),
+            store=_experiment_store(session),
+        )
+        result = experiment.run()
+        lo, hi = result.systematic_bounds
+        payload = {
+            "gate_name": result.gate_name,
+            "gate_error": float(result.gate_error),
+            "gate_error_std": float(result.gate_error_std),
+            "alpha_c": float(result.alpha_c),
+            "systematic_lower": float(lo),
+            "systematic_upper": float(hi),
+        }
+        for label, curve in (("reference", result.reference), ("interleaved", result.interleaved)):
+            for key, value in _rb_payload(curve).items():
+                payload[f"{label}_{key}"] = value
+        return payload, {}
+
 
 @dataclass(frozen=True)
-class XEBSpec(ExperimentSpec):
+class XEBSpec(_TableSpec):
     """Declarative cross-entropy benchmarking (linear XEB) run.
 
     Random circuits are words of uniformly drawn Clifford elements (no
@@ -657,9 +967,44 @@ class XEBSpec(ExperimentSpec):
             payload["depths"] = _int_tuple(payload["depths"])
         return payload
 
+    def sequences(self, store) -> list:
+        """The circuit-free random Clifford words the spec scores."""
+        from ..benchmarking.xeb import xeb_sequences
+
+        return xeb_sequences(
+            list(self.qubits),
+            depths=self.depths,
+            n_circuits=self.n_circuits,
+            seed=self.seed,
+            build_circuits=False,
+            store=store,
+        )
+
+    def execute(self, session) -> tuple[dict, dict]:
+        """Linear XEB through the session's backend and channel table."""
+        from ..benchmarking.xeb import run_xeb
+
+        result = run_xeb(
+            session.backend_for(self.device),
+            list(self.qubits),
+            depths=self.depths,
+            n_circuits=self.n_circuits,
+            shots=self.shots,
+            seed=self.seed,
+            engine=self.engine,
+            store=_experiment_store(session),
+        )
+        payload = {
+            "depths": np.asarray(result.depths),
+            "fidelity": np.asarray(result.fidelity),
+            "layer_fidelity": float(result.layer_fidelity),
+            "layer_fidelity_err": float(result.fit.alpha_err),
+        }
+        return payload, {}
+
 
 @dataclass(frozen=True)
-class PurityRBSpec(ExperimentSpec):
+class PurityRBSpec(_TableSpec):
     """Declarative purity randomized benchmarking (unitarity) run.
 
     Runs standard RB sequences *without* recovery or sampling: the output
@@ -711,9 +1056,44 @@ class PurityRBSpec(ExperimentSpec):
             payload["lengths"] = _int_tuple(payload["lengths"])
         return payload
 
+    def sequences(self, store) -> list:
+        """The circuit-free (recovery-free) RB sequences the spec composes."""
+        from ..benchmarking.purity import purity_rb_sequences
+
+        return purity_rb_sequences(
+            list(self.qubits),
+            lengths=self.lengths,
+            n_seeds=self.n_seeds,
+            seed=self.seed,
+            build_circuits=False,
+            store=store,
+        )
+
+    def execute(self, session) -> tuple[dict, dict]:
+        """Purity RB (unitarity) through the session's backend and channel table."""
+        from ..benchmarking.purity import run_purity_rb
+
+        result = run_purity_rb(
+            session.backend_for(self.device),
+            list(self.qubits),
+            lengths=self.lengths,
+            n_seeds=self.n_seeds,
+            seed=self.seed,
+            engine=self.engine,
+            store=_experiment_store(session),
+        )
+        payload = {
+            "lengths": np.asarray(result.lengths),
+            "shifted_purity_mean": np.asarray(result.shifted_purity_mean),
+            "shifted_purity_std": np.asarray(result.shifted_purity_std),
+            "unitarity": float(result.unitarity),
+            "unitarity_err": float(result.unitarity_err),
+        }
+        return payload, {}
+
 
 @dataclass(frozen=True)
-class CycleBenchSpec(ExperimentSpec):
+class CycleBenchSpec(_TableSpec):
     """Declarative cycle benchmarking of one interleaved cycle.
 
     Twirls the cycle (a named gate, e.g. ``x`` or ``cx``) with random
@@ -772,6 +1152,41 @@ class CycleBenchSpec(ExperimentSpec):
         if payload.get("lengths") is not None:
             payload["lengths"] = _int_tuple(payload["lengths"])
         return payload
+
+    def sequences(self, store) -> list:
+        """The circuit-free Pauli-twirled cycle sequences the spec replays."""
+        from ..benchmarking.cycle import cycle_sequences
+
+        return cycle_sequences(
+            list(self.qubits),
+            self.gate,
+            lengths=self.lengths,
+            n_seeds=self.n_seeds,
+            seed=self.seed,
+            build_circuits=False,
+            store=store,
+        )
+
+    def execute(self, session) -> tuple[dict, dict]:
+        """Cycle benchmarking through the session's backend and channel table."""
+        from ..benchmarking.cycle import run_cycle_benchmark
+
+        result = run_cycle_benchmark(
+            session.backend_for(self.device),
+            self.gate,
+            list(self.qubits),
+            lengths=self.lengths,
+            n_seeds=self.n_seeds,
+            shots=self.shots,
+            seed=self.seed,
+            engine=self.engine,
+            num_workers=_workers(self, session),
+            store=_experiment_store(session),
+        )
+        payload = {"gate_name": result.gate, **_rb_payload(result.rb)}
+        payload["error_per_cycle"] = float(result.error_per_cycle)
+        payload["error_per_cycle_err"] = float(result.error_per_cycle_err)
+        return payload, {}
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Spec-conformance harness: the contract every registered spec obeys.
 
 The session's spec registry (:func:`repro.session.specs.registered_spec_kinds`)
-is open — new experiment kinds plug in with a dataclass, a planner entry and
-an executor entry.  This harness is the other half of that bargain: one
+is open — a new experiment kind is one dataclass that lists its own
+preparation (``prep_steps``) and executes itself (``execute``).  This harness is the other half of that bargain: one
 :class:`SpecExample` per kind, plus check functions any spec class must pass:
 
 * lossless ``to_dict`` → JSON → ``from_dict`` round-trips,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -73,3 +74,23 @@ def test_public_api_docstring_coverage():
             missing.append(f"{path.relative_to(REPO_ROOT)}: module docstring")
         walk(path, tree)
     assert not missing, "missing public docstrings:\n" + "\n".join(missing)
+
+
+def test_session_api_table_tracks_exports():
+    """The ``repro.session`` section of docs/api.md names exactly its ``__all__``.
+
+    Every table row names its objects in backticks (``a`` / ``b``); a
+    row for a deleted export, or an export without a row, fails here.
+    """
+    import repro.session
+
+    text = (REPO_ROOT / "docs" / "api.md").read_text()
+    section = text.split("## `repro.session`", 1)[1].split("\n## ", 1)[0]
+    documented: set[str] = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            first_cell = line.split("|")[1]
+            documented.update(re.findall(r"`([A-Za-z_][\w.]*)`", first_cell))
+    # method rows (``ExperimentSpec.cache_fingerprint``) document their class
+    documented = {name.split(".")[0] for name in documented}
+    assert documented == set(repro.session.__all__)

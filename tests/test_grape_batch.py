@@ -5,7 +5,8 @@ change: every per-point result — optimizer iterates, final amplitudes,
 pulse-cache entries, session payloads — is bit-identical to the per-point
 fan-out path.  These tests assert that contract at each layer: the stacked
 evaluator vs the solo cost/gradient, the batch driver vs solo optimizations,
-the planner's grouping, and a full session sweep under both modes.
+the planner's grouping, and a full batched session sweep against the same
+points run one at a time (a singleton plan takes the per-point path).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.experiments.gates import (
 )
 from repro.qobj.gates import standard_gate_unitary
 from repro.session import Session
-from repro.session.planner import grape_batching_enabled, plan_specs
+from repro.session.planner import plan_specs
 from repro.session.specs import GRAPESpec, SweepSpec
 from repro.utils.validation import ValidationError
 
@@ -207,18 +208,6 @@ class TestPlannerBatching:
             plan = plan_specs([sweep])
             assert all(s.kind != "grape_batch" for s in plan.steps)
 
-    def test_flag_and_env_gate(self, monkeypatch):
-        plan = plan_specs([self._sweep()], batch_grape=False)
-        assert all(s.kind != "grape_batch" for s in plan.steps)
-        monkeypatch.setenv("REPRO_GRAPE_BATCH", "0")
-        assert not grape_batching_enabled()
-        assert not grape_batching_enabled(True)  # env always wins
-        plan = plan_specs([self._sweep()])
-        assert all(s.kind != "grape_batch" for s in plan.steps)
-        monkeypatch.delenv("REPRO_GRAPE_BATCH")
-        assert grape_batching_enabled()
-        assert not grape_batching_enabled(False)
-
 
 def _scrub(obj):
     """Drop run-volatile payload fields (wall clocks, store locations)."""
@@ -242,10 +231,15 @@ class TestSessionBatchedSweep:
             grid={"seed": (7, 11), "init_pulse_scale": (0.25, 0.4)},
         )
 
-    def _run(self, sweep, root, batch):
-        with Session(store=root, num_workers=1, trace_sink=False, grape_batch=batch) as s:
-            result = s.run_all([sweep])[0]
+    def _run(self, sweep, root, per_point=False):
+        """The sweep batched (``run_all``) or each point run on its own."""
+        with Session(store=root, num_workers=1, trace_sink=False) as s:
+            if per_point:
+                result = [s.run(point) for point in sweep.expand()]
+            else:
+                result = s.run_all([sweep])[0]
             stats = s.stats_snapshot()
+            batch_steps = sum(1 for key in s.prep_timings if key[0] == "grape_batch")
             fps = {
                 point.fingerprint(): s.store.pulse_key(
                     point.cache_fingerprint(), s.properties_fingerprint_for(point.device)
@@ -253,27 +247,38 @@ class TestSessionBatchedSweep:
                 for point in sweep.expand()
             }
             pulses = {fp: s.store.load_pulse(key) for fp, key in fps.items()}
-        return result, stats, fps, pulses
+        return result, stats, batch_steps, fps, pulses
 
     def test_batched_sweep_bit_identical_to_fan_out(self, sweep, tmp_path):
-        r_off, st_off, keys_off, pulses_off = self._run(sweep, tmp_path / "off", False)
-        r_on, st_on, keys_on, pulses_on = self._run(sweep, tmp_path / "on", True)
-        # identical per-point payloads (wall clocks and paths scrubbed)
-        assert json.dumps(_scrub(r_off.payload), sort_keys=True, default=str) == \
-               json.dumps(_scrub(r_on.payload), sort_keys=True, default=str)
+        solo, st_solo, steps_solo, keys_solo, pulses_solo = self._run(
+            sweep, tmp_path / "solo", per_point=True
+        )
+        batched, st_bat, steps_bat, keys_bat, pulses_bat = self._run(sweep, tmp_path / "batched")
+        # the two paths really differ: only the sweep stacks its points
+        assert (steps_solo, steps_bat) == (0, 1)
+        # identical per-point spec, payload and provenance (wall clocks,
+        # paths and traces scrubbed), compared at full float precision
+        def dump(obj):
+            return json.dumps(_scrub(obj), sort_keys=True, default=lambda a: np.asarray(a).tolist())
+
+        children = batched.payload["children"]
+        assert len(children) == len(solo) == 4
+        for point, child in zip(solo, children):
+            point_doc = {"spec": point.spec, "payload": point.payload, "provenance": point.provenance}
+            assert dump(point_doc) == dump(child)
         # identical pulse-cache keys and stored amplitudes
-        assert keys_off == keys_on
-        for fp, pulse in pulses_off.items():
-            assert pulse is not None and pulses_on[fp] is not None
-            assert np.array_equal(pulse.final_amps, pulses_on[fp].final_amps)
-            assert pulse.fid_err == pulses_on[fp].fid_err
-        # both modes execute every point exactly once
-        assert st_off["executions"] == st_on["executions"] == 4
+        assert keys_solo == keys_bat
+        for fp, pulse in pulses_solo.items():
+            assert pulse is not None and pulses_bat[fp] is not None
+            assert np.array_equal(pulse.final_amps, pulses_bat[fp].final_amps)
+            assert pulse.fid_err == pulses_bat[fp].fid_err
+        # both paths execute every point exactly once
+        assert st_solo["executions"] == st_bat["executions"] == 4
 
     def test_warm_replay_after_batched_run(self, sweep, tmp_path):
         root = tmp_path / "warm"
-        cold, _, _, pulses_cold = self._run(sweep, root, True)
-        warm, stats, _, pulses_warm = self._run(sweep, root, True)
+        cold, _, _, _, pulses_cold = self._run(sweep, root)
+        warm, stats, _, _, pulses_warm = self._run(sweep, root)
         assert stats["executions"] == 0
         # provenance legitimately differs (the replay records cache hits);
         # the experiment payloads must not

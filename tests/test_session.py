@@ -104,6 +104,10 @@ class TestSpecRoundTrips:
             SweepSpec(base=RBSpec(), grid={})
         with pytest.raises(ValidationError):
             IRBSpec(calibration="not-a-spec", **FAST_IRB)  # type: ignore[arg-type]
+        with pytest.raises(ValidationError, match="engine must be one of"):
+            RBSpec(engine="bogus")
+        with pytest.raises(ValidationError, match="engine must be one of"):
+            IRBSpec(engine="bogus")
 
 
 class TestPlanner:

@@ -13,6 +13,7 @@ import multiprocessing
 
 import pytest
 
+from repro.session import Session, plan_specs
 from repro.session.specs import (
     ExperimentSpec,
     registered_spec_kinds,
@@ -116,3 +117,36 @@ class TestNegativeControl:
         assert "strict_demo" not in registered_spec_kinds()
         with pytest.raises(ValidationError):
             spec_from_dict({"kind": "strict_demo", "knob": 3})
+
+    def test_kind_without_plan_or_executor_is_refused(self):
+        @dataclasses.dataclass(frozen=True)
+        class UnplannedDemoSpec(ExperimentSpec):
+            kind = "unplanned_demo"
+            knob: int = 1
+
+        @dataclasses.dataclass(frozen=True)
+        class UnexecutableDemoSpec(ExperimentSpec):
+            kind = "unexecutable_demo"
+            knob: int = 1
+
+            def prep_steps(self):
+                return []
+
+        with contract.temporary_spec_kind(UnplannedDemoSpec):
+            demo = UnplannedDemoSpec()
+            with pytest.raises(ValidationError, match="cannot plan spec of kind 'unplanned_demo'"):
+                plan_specs([demo])
+            with Session(store=None, trace_sink=False) as session:
+                with pytest.raises(ValidationError, match="cannot plan spec of kind 'unplanned_demo'"):
+                    session.run(demo)
+                assert session.stats["prep_builds"] == 0
+        with contract.temporary_spec_kind(UnexecutableDemoSpec):
+            demo = UnexecutableDemoSpec()
+            assert plan_specs([demo]).steps == []
+            with Session(store=None, trace_sink=False) as session:
+                with pytest.raises(
+                    ValidationError, match="cannot execute spec of kind 'unexecutable_demo'"
+                ):
+                    session.run(demo)
+                assert session.stats["prep_builds"] == 0
+                assert session.stats["executions"] == 0
