@@ -1,6 +1,6 @@
-"""Service benchmarks: dedup, scale-out, tenant fairness, process pool.
+"""Service benchmarks: dedup, scale-out, tenant fairness.
 
-Four legs, all recorded in ``BENCH_rb.json`` and enforced one-sidedly
+Three legs, all recorded in ``BENCH_rb.json`` and enforced one-sidedly
 against the committed baseline:
 
 * ``service_dedup`` — ``N`` *concurrently submitted duplicate* specs —
@@ -24,12 +24,6 @@ against the committed baseline:
   instead of the full FIFO drain; ``tenant_fairness_gain`` is the ratio
   of backlog-drain wall clock to interactive latency (latency-bound via
   ``REPRO_FAULT_EXECUTE_DELAY_S``, so machine-independent).
-* ``process_pool`` — two CPU-heavy GRAPE jobs drained by one two-worker
-  daemon in ``--worker-mode thread`` vs ``--worker-mode process``.  Each
-  job burns a fixed budget of GIL-held CPU time (the spin fault hook):
-  thread workers serialize it on the shared GIL, process workers overlap
-  it across cores, and ``process_pool_gain`` is the wall-clock ratio
-  (asserted ≥ 1.5× wherever the runner has ≥ 2 cores).
 """
 
 import json
@@ -38,8 +32,8 @@ import threading
 import time
 
 from repro.service.cluster import ServiceCluster
-from repro.service.workers import FAULT_EXECUTE_DELAY_ENV, FAULT_EXECUTE_SPIN_ENV
-from repro.session import GRAPESpec, RBSpec, Session
+from repro.service.workers import FAULT_EXECUTE_DELAY_ENV
+from repro.session import RBSpec, Session
 from repro.store import ArtifactStore
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
@@ -64,18 +58,6 @@ JOB_LATENCY_S = 0.2 if SMOKE else 0.6
 #: behind; ≥ 20 queued delayed jobs is the tentpole acceptance criterion.
 N_FLOOD = 6 if SMOKE else 20
 FAIRNESS_LATENCY_S = 0.1 if SMOKE else 0.15
-
-#: Process-pool leg: two CPU-heavy GRAPE jobs drained by one two-worker
-#: daemon in thread vs process mode.  Each job additionally burns
-#: :data:`POOL_SPIN_S` seconds of **GIL-held** CPU time (the spin fault
-#: hook, run inside the job's execution context): thread-mode workers
-#: serialize that burn on the shared GIL however many cores the runner
-#: has, while process-mode workers overlap it across cores — so the
-#: measured gain is about the GIL, not about how fast one core happens to
-#: be.  On a single-core host both modes necessarily serialize, so the
-#: acceptance floor only applies when ``os.cpu_count() >= 2``.
-N_POOL_JOBS = 2
-POOL_SPIN_S = 0.2 if SMOKE else 3.0
 
 
 def _bench_spec() -> RBSpec:
@@ -401,104 +383,3 @@ def test_service_multi_daemon(benchmark, save_results, bench_metrics, tmp_path):
         "payload_abs_diff": data["payload_abs_diff"],
     }
     save_results("service_multi_daemon", data)
-
-
-def _pool_grape_specs(base_seed: int) -> list:
-    """N_POOL_JOBS distinct CPU-heavy closed-system CX optimizations.
-
-    The jobs differ in their initial-pulse scale (not just the seed, which
-    the deterministic CX initial guess ignores), so each produces a
-    genuinely distinct optimization payload and nothing dedupes.
-    """
-    if SMOKE:
-        dims = dict(device="montreal", gate="cx", qubits=(0, 1), duration_ns=300.0,
-                    n_ts=16, include_decoherence=False, max_iter=30)
-    else:
-        dims = dict(device="montreal", gate="cx", qubits=(0, 1), duration_ns=300.0,
-                    n_ts=128, include_decoherence=False, max_iter=600)
-    return [
-        GRAPESpec(**dims, seed=base_seed + index,
-                  init_pulse_scale=0.25 + 0.15 * index)
-        for index in range(N_POOL_JOBS)
-    ]
-
-
-def _drain_with_pool(root, worker_mode: str) -> dict:
-    """Drain the heavy GRAPE pair through one daemon's two-worker pool.
-
-    Warm-up jobs pay worker-session cold start (and, in process mode, the
-    subprocess spawn + child import cost) before the timer; both legs use
-    the **same** specs on separate store roots, so the payload sets must
-    come out identical across modes.
-    """
-    spin_env = {FAULT_EXECUTE_SPIN_ENV: str(POOL_SPIN_S)}
-    with ServiceCluster(
-        root, n_daemons=1, workers=N_POOL_JOBS, lease_s=300.0, poll_s=0.05,
-        daemon_env=[spin_env], worker_mode=worker_mode,
-    ) as cluster:
-        client = cluster.client(0)
-        warm_ids = [
-            client.submit(RBSpec(device="montreal", qubits=(0,), lengths=(1, 2, 3),
-                                 n_seeds=1, shots=50, seed=500 + index))
-            for index in range(N_POOL_JOBS)
-        ]
-        for job_id in warm_ids:
-            client.result(job_id, timeout=600.0)
-        start = time.perf_counter()
-        job_ids = [client.submit(spec) for spec in _pool_grape_specs(7000)]
-        fingerprints = {
-            client.result(job_id, timeout=600.0).payload_fingerprint()
-            for job_id in job_ids
-        }
-        wall = time.perf_counter() - start
-        documents = [client.status(job_id) for job_id in job_ids]
-    return {
-        "wall_clock_s": wall,
-        "payload_fingerprints": fingerprints,
-        "attempts": [document["attempts"] for document in documents],
-    }
-
-
-def _process_vs_thread(root) -> dict:
-    """The heavy GRAPE pair: thread-mode pool vs process-mode pool."""
-    thread = _drain_with_pool(root / "thread-pool", "thread")
-    process = _drain_with_pool(root / "process-pool", "process")
-    identical = (
-        thread["payload_fingerprints"] == process["payload_fingerprints"]
-        and len(thread["payload_fingerprints"]) == N_POOL_JOBS
-    )
-    return {
-        "n_jobs": N_POOL_JOBS,
-        "spin_s": POOL_SPIN_S,
-        "cpu_count": os.cpu_count() or 1,
-        "thread_wall_clock_s": thread["wall_clock_s"],
-        "process_wall_clock_s": process["wall_clock_s"],
-        "process_pool_gain": thread["wall_clock_s"] / process["wall_clock_s"],
-        "attempts": thread["attempts"] + process["attempts"],
-        "payload_abs_diff": 0.0 if identical else 1.0,
-    }
-
-
-def test_process_pool(benchmark, save_results, bench_metrics, tmp_path):
-    data = benchmark.pedantic(
-        _process_vs_thread, args=(tmp_path,), rounds=1, iterations=1
-    )
-    # correctness: both modes drain both jobs to bit-identical payloads
-    # on the first attempt (no crash, no lease loss, either mode)
-    assert data["payload_abs_diff"] == 0.0
-    assert all(attempt == 1 for attempt in data["attempts"])
-    if not SMOKE and data["cpu_count"] >= 2:
-        # acceptance: with >= 2 cores the process pool must overlap the
-        # GIL-held work the thread pool serializes (ISSUE 9 criterion);
-        # a single-core host serializes both modes, so there the ratio
-        # is recorded but the floor cannot apply
-        assert data["process_pool_gain"] >= 1.5, (
-            f"process pool gain regressed: {data['process_pool_gain']:.2f}x"
-        )
-    bench_metrics["process_pool"] = {
-        "thread_wall_clock_s": data["thread_wall_clock_s"],
-        "process_wall_clock_s": data["process_wall_clock_s"],
-        "process_pool_gain": data["process_pool_gain"],
-        "payload_abs_diff": data["payload_abs_diff"],
-    }
-    save_results("process_pool", data)

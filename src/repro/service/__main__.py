@@ -4,7 +4,6 @@ Usage::
 
     python -m repro.service [--host HOST] [--port PORT] [--root PATH]
         [--queue PATH] [--workers N] [--session-num-workers N]
-        [--worker-mode {thread,process}]
         [--gc-interval SECONDS] [--results-max-bytes N]
         [--results-max-age SECONDS] [--shadow-rate RATE]
         [--trace-file PATH] [--lease SECONDS] [--heartbeat SECONDS]
@@ -50,10 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker-session threads (default: 2)")
     parser.add_argument("--session-num-workers", type=int, default=1,
                         help="per-experiment process fan-out of each worker (default: 1)")
-    parser.add_argument("--worker-mode", choices=("thread", "process"), default="thread",
-                        help="job execution mode: 'thread' runs sessions in-process, "
-                             "'process' isolates each worker's session in a dedicated "
-                             "subprocess (crash/memory isolation; default: thread)")
     parser.add_argument("--gc-interval", type=float, default=None, metavar="SECONDS",
                         help="period of the background store-GC sweep (default: off)")
     parser.add_argument("--results-max-bytes", type=int, default=None,
@@ -96,7 +91,6 @@ def main(argv=None) -> int:
         queue_path=args.queue,
         workers=args.workers,
         session_num_workers=args.session_num_workers,
-        worker_mode=args.worker_mode,
         gc_interval_s=args.gc_interval,
         results_max_bytes=args.results_max_bytes,
         results_max_age_s=args.results_max_age,
@@ -121,7 +115,7 @@ def main(argv=None) -> int:
     print(f"repro.service listening on {service.url}")
     print(f"  store: {service.store.root}")
     print(f"  queue: {service.queue.path} ({service.recovered_jobs} job(s) recovered)")
-    print(f"  workers: {service.pool.workers} ({service.pool.worker_mode} mode)")
+    print(f"  workers: {service.pool.workers}")
     lease = f"{service.lease_s}s" if service.lease_s is not None else "off"
     print(f"  lease: {lease} (owner {service.owner_id})")
     auth = (

@@ -98,12 +98,10 @@ class DaemonProcess:
         tokens: str | Path | None = None,
         env: dict[str, str] | None = None,
         boot_timeout_s: float = 120.0,
-        worker_mode: str = "thread",
     ):
         self.store_root = Path(store_root)
         self.queue_path = Path(queue_path)
         self.workers = int(workers)
-        self.worker_mode = worker_mode
         self.lease_s = float(lease_s)
         self.heartbeat_s = heartbeat_s
         self.poll_s = poll_s
@@ -131,7 +129,6 @@ class DaemonProcess:
             "--root", str(self.store_root),
             "--queue", str(self.queue_path),
             "--workers", str(self.workers),
-            "--worker-mode", self.worker_mode,
             "--lease", str(self.lease_s),
         ]
         if self.heartbeat_s is not None:
@@ -285,7 +282,6 @@ class ServiceCluster:
         tokens: str | Path | None = None,
         daemon_env: list[dict[str, str]] | None = None,
         boot_timeout_s: float = 120.0,
-        worker_mode: str = "thread",
     ):
         self.root = Path(root)
         self.store_root = self.root / "store"
@@ -306,7 +302,6 @@ class ServiceCluster:
                     tokens=tokens,
                     env=env,
                     boot_timeout_s=boot_timeout_s,
-                    worker_mode=worker_mode,
                 )
             )
 
@@ -358,7 +353,6 @@ def run_cluster_smoke(
     fault_delay_s: float = 6.0,
     timeout_s: float = 300.0,
     log=print,
-    worker_mode: str = "thread",
 ) -> dict:
     """Kill one of N daemons mid-job; prove takeover, exactly-once, fencing.
 
@@ -397,7 +391,6 @@ def run_cluster_smoke(
         lease_s=lease_s,
         heartbeat_s=heartbeat_s,
         daemon_env=[victim_env],
-        worker_mode=worker_mode,
     )
     with cluster:
         victim, survivors = cluster.daemons[0], cluster.daemons[1:]
@@ -492,9 +485,6 @@ def main(argv=None) -> int:
                              "(default: 6)")
     parser.add_argument("--timeout", type=float, default=300.0, metavar="SECONDS",
                         help="overall completion timeout (default: 300)")
-    parser.add_argument("--worker-mode", choices=("thread", "process"), default="thread",
-                        help="execution mode of every daemon's worker pool "
-                             "(default: thread)")
     args = parser.parse_args(argv)
     if os.name == "nt":
         print("cluster smoke requires POSIX signals (SIGSTOP/SIGKILL); skipping")
@@ -508,7 +498,6 @@ def main(argv=None) -> int:
                 heartbeat_s=args.heartbeat,
                 fault_delay_s=args.fault_delay,
                 timeout_s=args.timeout,
-                worker_mode=args.worker_mode,
             )
         except (AssertionError, TimeoutError) as failure:
             print(f"cluster smoke FAILED: {failure}")

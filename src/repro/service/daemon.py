@@ -74,10 +74,9 @@ class ServiceConfig:
     session_num_workers : int
         Per-experiment process fan-out of each worker session.
     worker_mode : str
-        ``"thread"`` (default, in-process sessions) or ``"process"``
-        (each worker's session lives in a dedicated subprocess —
-        crash/memory isolation and per-worker GILs; ``--worker-mode``).
-        See ``docs/performance.md``.
+        Must be ``"thread"`` (any other value raises ``ValueError``).
+        Jobs always execute in a worker-thread ``Session``; the field is
+        kept only so existing callers that pass it keep working.
     gc_interval_s : float, optional
         Period of the background store-GC sweep; ``None`` disables it
         (the CLI `prune` remains available).
@@ -136,6 +135,13 @@ class ServiceConfig:
     poll_s: float = 0.5
     tokens: object = None
     no_auth: bool = False
+
+    def __post_init__(self):
+        if self.worker_mode != "thread":
+            raise ValueError(
+                "worker_mode must be 'thread' (jobs run in worker threads), "
+                f"got {self.worker_mode!r}"
+            )
 
 
 class ExperimentService:
@@ -217,7 +223,6 @@ class ExperimentService:
             self.store,
             workers=config.workers,
             session_num_workers=config.session_num_workers,
-            worker_mode=config.worker_mode,
             shadow_rate=config.shadow_rate,
             # wrap the configured sink so every job's trace also feeds the
             # per-span duration histograms of /v1/metrics
@@ -348,7 +353,6 @@ class ExperimentService:
             "status": "ok",
             "uptime_s": (time.time() - self._started_at) if self._started_at else 0.0,
             "workers": self.pool.workers,
-            "worker_mode": self.pool.worker_mode,
             "jobs": self.queue.counts(),
             "recovered_jobs": self.recovered_jobs,
             "sessions": self.pool.aggregate_stats(),
@@ -370,26 +374,11 @@ class ExperimentService:
             "last_gc": self.last_gc,
         }
 
-    def _merged_store_stats(self) -> dict:
-        """This daemon's store counters plus its worker subprocesses'.
-
-        In thread mode the pool contributes nothing (every worker writes
-        through ``self.store``); in process mode each child has its own
-        store instance, whose shipped-back counters are folded in here so
-        writes/hits stay observable regardless of ``worker_mode``.
-        """
-        stats = {namespace: dict(counters) for namespace, counters in self.store.stats.items()}
-        for namespace, counters in self.pool.aggregate_store_stats().items():
-            bucket = stats.setdefault(namespace, {})
-            for counter, value in counters.items():
-                bucket[counter] = bucket.get(counter, 0) + value
-        return stats
-
     def store_stats(self) -> dict:
         """The ``/v1/store/stats`` document: counters + disk footprint."""
         return {
             "root": str(self.store.root),
-            "stats": self._merged_store_stats(),
+            "stats": self.store.stats,
             "disk": self.store.disk_stats(),
         }
 
@@ -503,7 +492,7 @@ class ExperimentService:
             "repro_store_events_total",
             "Artifact-store namespace counters (writes, hits, evictions, ...).",
         )
-        store_stats = self._merged_store_stats()
+        store_stats = self.store.stats
         for namespace, counters in store_stats.items():
             for counter, value in counters.items():
                 store_events.labels(namespace=namespace, counter=counter).set(value)

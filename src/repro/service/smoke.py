@@ -59,7 +59,6 @@ def run_smoke(
     timeout: float = 300.0,
     metrics_out=None,
     shadow_rate: float | None = None,
-    worker_mode: str = "thread",
 ) -> int:
     """Boot, submit, verify; returns a shell exit code (prints progress).
 
@@ -75,25 +74,19 @@ def run_smoke(
     shadow_rate : float, optional
         Shadow-verification rate the daemon runs with; ``1.0`` turns the
         smoke into the shadow canary (see module docstring).
-    worker_mode : str
-        Worker-pool execution mode (``thread`` | ``process``); the full
-        contract below must hold identically in both.
     """
     spec = reduced_fig3_spec()
     shadowing = shadow_rate is not None and shadow_rate >= 1.0
     with tempfile.TemporaryDirectory(prefix="repro-service-smoke-") as scratch:
         config = ServiceConfig(
             host="127.0.0.1", port=0, store=store_root or f"{scratch}/store", workers=1,
-            shadow_rate=shadow_rate, worker_mode=worker_mode,
+            shadow_rate=shadow_rate,
         )
         with ExperimentService(config) as service:
             client = ServiceClient(service.url)
             health = client.health()
             _expect(health.get("status") == "ok", f"healthz not ok: {health}")
-            _expect(health.get("worker_mode") == worker_mode,
-                    f"healthz worker_mode mismatch: {health}")
-            print(f"healthz ok at {service.url} "
-                  f"(workers={health['workers']}, mode={health['worker_mode']})")
+            print(f"healthz ok at {service.url} (workers={health['workers']})")
 
             started = time.perf_counter()
             job_id = client.submit(spec)
@@ -272,15 +265,11 @@ def main(argv=None) -> int:
     parser.add_argument("--auth", action="store_true",
                         help="run the multi-tenant auth leg instead "
                              "(401/201/429 against a token-enabled daemon)")
-    parser.add_argument("--worker-mode", choices=("thread", "process"), default="thread",
-                        help="worker-pool execution mode the daemon runs with "
-                             "(default: thread)")
     args = parser.parse_args(argv)
     try:
         if args.auth:
             return run_auth_smoke()
-        return run_smoke(metrics_out=args.metrics_out, shadow_rate=args.shadow_rate,
-                         worker_mode=args.worker_mode)
+        return run_smoke(metrics_out=args.metrics_out, shadow_rate=args.shadow_rate)
     except AssertionError as exc:
         print(f"SMOKE FAIL: {exc}", file=sys.stderr)
         return 1

@@ -17,15 +17,6 @@ Workers pull from the :class:`~repro.service.queue.JobQueue`; a failed
 execution marks the job ``failed`` with the exception message and the
 worker moves on — one bad spec never takes the pool down.
 
-With ``worker_mode="process"`` each worker thread delegates execution to
-a dedicated **subprocess** session
-(:class:`~repro.service.process_worker.ProcessSessionWorker`): a job
-that segfaults or exhausts memory kills one subprocess, not the daemon —
-the job fails with the worker's exit signal in the error text, the
-subprocess is respawned, and the claim/lease/fencing path is exactly the
-thread-mode one (all of it stays in the parent).  See
-``docs/performance.md``.
-
 With an ``owner_id`` and ``lease_s`` (the daemon provides both), claims
 are **leased**: a per-job heartbeat thread extends the lease while the
 job runs, and completion is fenced on the claim's ``lease_generation`` —
@@ -41,21 +32,10 @@ import os
 import threading
 import time
 
-from .process_worker import (
-    FAULT_EXECUTE_SPIN_ENV,
-    ProcessSessionWorker,
-    WorkerCrashed,
-    fault_spin,
-)
 from .queue import JobQueue, StaleLeaseError
 from ..session import Session, spec_from_dict
 
-__all__ = ["WorkerPool", "WORKER_MODES", "FAULT_EXECUTE_SPIN_ENV"]
-
-#: Supported execution modes: ``thread`` runs jobs in-process (one
-#: ``Session`` per worker thread), ``process`` isolates each worker's
-#: session in a dedicated subprocess.
-WORKER_MODES = ("thread", "process")
+__all__ = ["WorkerPool"]
 
 #: Test/fault-injection hook: seconds each job execution sleeps before
 #: running its session (holding its claim).  Lets the crash harness park
@@ -101,9 +81,6 @@ class WorkerPool:
         ``owner_id`` for leased claims.
     heartbeat_s : float, optional
         Lease-extension cadence (default: a third of ``lease_s``).
-    worker_mode : str
-        ``"thread"`` (default) or ``"process"``; see
-        :data:`WORKER_MODES` and the module docstring.
     """
 
     def __init__(
@@ -118,7 +95,6 @@ class WorkerPool:
         owner_id: str | None = None,
         lease_s: float | None = None,
         heartbeat_s: float | None = None,
-        worker_mode: str = "thread",
     ):
         self.queue = queue
         self.store = store
@@ -132,23 +108,12 @@ class WorkerPool:
         if heartbeat_s is None and self.lease_s is not None:
             heartbeat_s = self.lease_s / 3.0
         self.heartbeat_s = None if heartbeat_s is None else float(heartbeat_s)
-        if worker_mode not in WORKER_MODES:
-            raise ValueError(f"worker_mode must be one of {WORKER_MODES}, got {worker_mode!r}")
-        self.worker_mode = worker_mode
         #: Jobs whose outcome this pool had to drop because the lease was
         #: reclaimed mid-execution (fencing did its job).
         self.lost_leases = 0
-        #: Worker subprocesses that died mid-job and were respawned
-        #: (process mode only; 0 in thread mode).
-        self.worker_crashes = 0
         self._lost_lock = threading.Lock()
         self._threads: list[threading.Thread] = []
         self._sessions: list[Session] = []
-        self._process_workers: list[ProcessSessionWorker] = []
-        #: Counters harvested from subprocesses that exited or crashed —
-        #: kept so ``aggregate_stats`` never loses work a dead child did.
-        self._retired_stats: dict[str, int] = {key: 0 for key in self.STAT_KEYS}
-        self._retired_store_stats: dict[str, dict[str, int]] = {}
         self._sessions_lock = threading.Lock()
         self._stop = threading.Event()
         self._started = False
@@ -173,17 +138,13 @@ class WorkerPool:
         # generation
         self._stop = threading.Event()
         with self._sessions_lock:
-            # drop closed sessions/subprocesses of a previous run so a
-            # restarted pool's aggregate_stats reports only the live workers
+            # drop closed sessions of a previous run so a restarted
+            # pool's aggregate_stats reports only the live workers
             self._sessions.clear()
-            self._process_workers.clear()
-            self._retired_stats = {key: 0 for key in self.STAT_KEYS}
-            self._retired_store_stats = {}
         self._threads.clear()
-        target = self._run_worker if self.worker_mode == "thread" else self._run_worker_process
         for index in range(self.workers):
             thread = threading.Thread(
-                target=target,
+                target=self._run_worker,
                 args=(self._stop,),
                 name=f"repro-service-worker-{index}",
                 daemon=True,
@@ -228,60 +189,14 @@ class WorkerPool:
         execution never reads a torn dictionary, and all
         :data:`STAT_KEYS` are pre-seeded to 0 so the reported shape is
         stable regardless of which counters have fired yet.
-
-        In process mode the counters live in worker subprocesses, so each
-        child ships its snapshot back with every job reply; the pool sums
-        the latest snapshot per live subprocess plus a retired-totals
-        accumulator for subprocesses that crashed or exited — the numbers
-        stay truthful across respawns.
         """
         totals: dict[str, int] = {key: 0 for key in self.STAT_KEYS}
         with self._sessions_lock:
             sessions = list(self._sessions)
-            process_snapshots = [dict(w.latest_stats) for w in self._process_workers]
-            retired = dict(self._retired_stats)
         for session in sessions:
             for counter, value in session.stats_snapshot().items():
                 totals[counter] = totals.get(counter, 0) + value
-        for snapshot in process_snapshots:
-            for counter, value in snapshot.items():
-                totals[counter] = totals.get(counter, 0) + value
-        for counter, value in retired.items():
-            totals[counter] = totals.get(counter, 0) + value
         return totals
-
-    def aggregate_store_stats(self) -> dict[str, dict[str, int]]:
-        """Per-namespace store counters accumulated in worker subprocesses.
-
-        Empty in thread mode (workers share the daemon's store instance,
-        whose own counters are authoritative).  In process mode each
-        child writes through its *own* store instance, so the daemon
-        merges these into its ``/v1/store/stats`` document and metrics
-        mirror — result writes stay observable regardless of mode.
-        """
-        totals: dict[str, dict[str, int]] = {}
-        with self._sessions_lock:
-            snapshots = [w.latest_store_stats for w in self._process_workers]
-            snapshots.append(self._retired_store_stats)
-            snapshots = [
-                {ns: dict(counters) for ns, counters in snap.items()} for snap in snapshots
-            ]
-        for snapshot in snapshots:
-            for namespace, counters in snapshot.items():
-                bucket = totals.setdefault(namespace, {})
-                for counter, value in counters.items():
-                    bucket[counter] = bucket.get(counter, 0) + value
-        return totals
-
-    def _retire_worker_stats(self, worker) -> None:
-        """Fold a (dead) subprocess's last counters into the accumulators."""
-        with self._sessions_lock:
-            for counter, value in worker.latest_stats.items():
-                self._retired_stats[counter] = self._retired_stats.get(counter, 0) + value
-            for namespace, counters in worker.latest_store_stats.items():
-                bucket = self._retired_store_stats.setdefault(namespace, {})
-                for counter, value in counters.items():
-                    bucket[counter] = bucket.get(counter, 0) + value
 
     # ------------------------------------------------------------------ #
     # the worker loop
@@ -299,67 +214,15 @@ class WorkerPool:
         )
         with self._sessions_lock:
             self._sessions.append(session)
-
-        def runner(spec_dict: dict) -> str:
-            # the GIL-held spin hook runs here — inside the job's
-            # execution context — so it contends with sibling worker
-            # threads exactly like the job's own interpreter-bound work
-            # (in process mode the child runs it under its own GIL)
-            fault_spin()
-            return session.run(spec_from_dict(spec_dict)).to_json(indent=None)
-
         try:
             while not stop.is_set():
                 job = self.queue.claim(owner_id=self.owner_id, lease_s=self.lease_s)
                 if job is None:
                     self.queue.wait(timeout=self.poll_s)
                     continue
-                self._execute_job(runner, job)
+                self._execute_job(session, job)
         finally:
             session.close()
-
-    def _run_worker_process(self, stop: threading.Event) -> None:
-        """Process-mode worker loop: same claims, subprocess execution.
-
-        The loop, lease heartbeats and fencing all stay in this (parent)
-        thread; only ``session.run`` happens in the dedicated subprocess.
-        A crashed subprocess fails the current job with its exit signal,
-        rolls its counters into the retired accumulator and is respawned
-        — the daemon itself never notices beyond one failed job.
-        """
-        worker = ProcessSessionWorker(
-            store_root=None if self.store is None else str(self.store.root),
-            session_kwargs=dict(
-                num_workers=self.session_num_workers, max_concurrency=1,
-                shadow_rate=self.shadow_rate,
-            ),
-        )
-        with self._sessions_lock:
-            self._process_workers.append(worker)
-
-        def runner(spec_dict: dict) -> str:
-            try:
-                return worker.run(spec_dict)
-            except WorkerCrashed:
-                self._retire_worker_stats(worker)
-                with self._lost_lock:
-                    self.worker_crashes += 1
-                worker.respawn()
-                raise
-
-        try:
-            while not stop.is_set():
-                job = self.queue.claim(owner_id=self.owner_id, lease_s=self.lease_s)
-                if job is None:
-                    self.queue.wait(timeout=self.poll_s)
-                    continue
-                self._execute_job(runner, job)
-        finally:
-            self._retire_worker_stats(worker)
-            with self._sessions_lock:
-                if worker in self._process_workers:
-                    self._process_workers.remove(worker)
-            worker.close()
 
     def _start_heartbeat(self, job) -> threading.Event | None:
         """Keep one job's lease alive until the returned event is set.
@@ -394,13 +257,8 @@ class WorkerPool:
         thread.start()
         return done
 
-    def _execute_job(self, runner, job) -> None:
+    def _execute_job(self, session: Session, job) -> None:
         """Run one claimed job; never lets an exception escape the loop.
-
-        ``runner`` maps a spec dict to a result-JSON string — a session
-        call in thread mode, a subprocess round-trip in process mode.
-        The fault-delay hook, heartbeats and fencing run here in the
-        worker thread regardless of mode.
 
         Leased pools finish with the claim's fencing token: a
         :class:`StaleLeaseError` means a peer reclaimed the job while it
@@ -415,7 +273,7 @@ class WorkerPool:
             delay = float(os.environ.get(FAULT_EXECUTE_DELAY_ENV, 0) or 0)
             if delay > 0:
                 time.sleep(delay)
-            result_json = runner(job.spec)
+            result_json = session.run(spec_from_dict(job.spec)).to_json(indent=None)
             self.queue.complete(
                 job.id, result_json,
                 execute_s=time.monotonic() - execute_started, **fence,
@@ -424,12 +282,9 @@ class WorkerPool:
             with self._lost_lock:
                 self.lost_leases += 1
         except Exception as exc:  # noqa: BLE001 - job isolation boundary
-            # process-mode errors carry the child-side failure text
-            # (``job_error``) so failed jobs read identically across modes
-            message = getattr(exc, "job_error", None) or f"{type(exc).__name__}: {exc}"
             try:
                 self.queue.fail(
-                    job.id, message,
+                    job.id, f"{type(exc).__name__}: {exc}",
                     execute_s=time.monotonic() - execute_started, **fence,
                 )
             except StaleLeaseError:

@@ -23,6 +23,9 @@ shared SQLite queue and one shared store root; POSIX-only.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from harness.cluster import ServiceCluster, posix_only, run_cluster_smoke, wait_for
@@ -40,6 +43,20 @@ def _status(daemon, job_id: str) -> dict:
 def _finished(daemon, job_id: str):
     document = _status(daemon, job_id)
     return document if document["status"] in ("done", "failed") else None
+
+
+def _processes_mentioning(text: str) -> list[str]:
+    """Command lines of live processes whose arguments contain ``text``."""
+    found = []
+    for cmdline in Path("/proc").glob("[0-9]*/cmdline"):
+        try:
+            args = cmdline.read_bytes().split(b"\0")
+        except OSError:  # the process exited mid-scan
+            continue
+        line = " ".join(arg.decode(errors="replace") for arg in args if arg)
+        if text in line:
+            found.append(f"{cmdline.parent.name}: {line}")
+    return found
 
 
 class TestClusterDrain:
@@ -98,6 +115,10 @@ class TestKillOneOfN:
         assert proof["reclaims"] == 1
         assert proof["attempts"] == 2 and proof["lease_generation"] == 2
         assert proof["finished_by"] in ("daemon-1", "daemon-2")
+        # every daemon of the cluster is gone, the SIGKILLed one included:
+        # no process still carries this test's directory on its command line
+        if sys.platform.startswith("linux"):
+            assert _processes_mentioning(str(tmp_path)) == []
 
 
 class TestFencing:
@@ -242,113 +263,3 @@ class TestQueueLeaseUnit:
         assert queue.claim() is None
         assert queue.claim(owner_id="x", lease_s=30.0) is None
         queue.close()
-
-
-class TestProcessWorkerIsolation:
-    """``worker_mode="process"``: a crashing job kills one subprocess, never
-    the daemon — and the lease machinery is byte-for-byte the thread-mode
-    path, so kill-takeover still holds."""
-
-    def test_crashing_job_fails_alone_and_daemon_stays_healthy(self, tmp_path):
-        """A self-SIGKILLing job fails with the signal name; the daemon
-        survives it and executes the next job on a respawned subprocess."""
-        from repro.session import RBSpec
-
-        crash_spec = RBSpec(**FAST_RB, seed=31)
-        ok_spec = RBSpec(**FAST_RB, seed=32)
-        crash_env = {
-            "REPRO_FAULT_CRASH_FINGERPRINT": crash_spec.fingerprint()[:16],
-        }
-        with ServiceCluster(
-            tmp_path, n_daemons=1, workers=1, lease_s=30.0,
-            daemon_env=[crash_env], worker_mode="process",
-        ) as cluster:
-            daemon = cluster.daemons[0]
-            assert daemon.client().health()["worker_mode"] == "process"
-
-            crash_id = daemon.client().submit(crash_spec.to_dict())
-            document = wait_for(
-                lambda: _finished(daemon, crash_id),
-                timeout_s=300.0, what="the crashing job failing",
-            )
-            assert document["status"] == "failed"
-            assert "WorkerCrashed" in document["error"]
-            assert "SIGKILL" in document["error"]
-
-            # the daemon is still healthy and serves the next job through
-            # a freshly respawned subprocess
-            health = daemon.client().health()
-            assert health["status"] == "ok"
-            ok_id = daemon.client().submit(ok_spec.to_dict())
-            document = wait_for(
-                lambda: _finished(daemon, ok_id),
-                timeout_s=300.0, what="the follow-up job finishing",
-            )
-            assert document["status"] == "done"
-            # the post-crash execution is visible in the aggregated
-            # counters (shipped back from the new subprocess)
-            assert daemon.client().health()["sessions"]["executions"] >= 1
-
-    def test_os_exit_job_is_isolated_in_the_pool(self, tmp_path, monkeypatch):
-        """In-process pool check of the ``os._exit`` flavor: the error text
-        carries the exit code, counters survive the respawn, and a healthy
-        job completes afterwards."""
-        import time
-
-        from repro.service import JobQueue
-        from repro.service.workers import WorkerPool
-        from repro.session import RBSpec
-        from repro.store import ArtifactStore
-
-        crash_spec = RBSpec(**FAST_RB, seed=41)
-        ok_spec = RBSpec(**FAST_RB, seed=42)
-        monkeypatch.setenv(
-            "REPRO_FAULT_CRASH_FINGERPRINT",
-            f"{crash_spec.fingerprint()[:16]}:exit",
-        )
-        store = ArtifactStore(tmp_path / "store")
-        queue = JobQueue(tmp_path / "queue.sqlite3")
-        pool = WorkerPool(queue, store, workers=1, worker_mode="process")
-        pool.start()
-        try:
-            ok_id = queue.submit(ok_spec.to_dict())
-            crash_id = queue.submit(crash_spec.to_dict())
-            deadline = time.time() + 300.0
-            while time.time() < deadline:
-                counts = queue.counts()
-                if counts["done"] == 1 and counts["failed"] == 1:
-                    break
-                time.sleep(0.2)
-            else:
-                raise TimeoutError(f"jobs did not settle: {queue.counts()}")
-            assert queue.get(ok_id).status == "done"
-            failed = queue.get(crash_id)
-            assert failed.status == "failed"
-            assert "WorkerCrashed" in failed.error
-            assert "exited with code 3" in failed.error
-            assert pool.worker_crashes == 1
-            # the pre-crash execution was retired into the accumulator,
-            # not lost with the dead subprocess
-            assert pool.aggregate_stats()["executions"] == 1
-        finally:
-            pool.stop()
-            queue.close()
-
-    def test_kill_takeover_with_process_workers(self, tmp_path):
-        """The full kill-one-of-N choreography holds in process mode: the
-        lease/fencing path is untouched by the execution-mode change."""
-        proof = run_cluster_smoke(
-            tmp_path,
-            n_daemons=3,
-            lease_s=2.0,
-            heartbeat_s=0.5,
-            fault_delay_s=6.0,
-            timeout_s=300.0,
-            log=lambda *args, **kwargs: None,
-            worker_mode="process",
-        )
-        assert proof["executions"] == 1
-        assert proof["result_writes"] == 1
-        assert proof["reclaims"] == 1
-        assert proof["attempts"] == 2 and proof["lease_generation"] == 2
-        assert proof["finished_by"] in ("daemon-1", "daemon-2")

@@ -228,7 +228,9 @@ class TestSessionBatchedSweep:
         return SweepSpec(
             base=GRAPESpec(device="montreal", gate="x", qubits=(0,), duration_ns=105.0,
                            n_ts=8, max_iter=25, seed=7),
-            grid={"seed": (7, 11), "init_pulse_scale": (0.25, 0.4)},
+            # the seed only feeds the RND initial pulse, so the grid varies
+            # the DRAG start instead: four points, four distinct optimizations
+            grid={"init_pulse_scale": (0.2, 0.25, 0.3, 0.4)},
         )
 
     def _run(self, sweep, root, per_point=False):
@@ -272,6 +274,13 @@ class TestSessionBatchedSweep:
             assert pulse is not None and pulses_bat[fp] is not None
             assert np.array_equal(pulse.final_amps, pulses_bat[fp].final_amps)
             assert pulse.fid_err == pulses_bat[fp].fid_err
+        # the points are distinct optimizations, so a mix-up between the
+        # stacked rows would show as a mismatch above
+        amps = [pulse.final_amps for pulse in pulses_bat.values()]
+        assert len(amps) == 4
+        for i in range(len(amps)):
+            for j in range(i + 1, len(amps)):
+                assert not np.array_equal(amps[i], amps[j])
         # both paths execute every point exactly once
         assert st_solo["executions"] == st_bat["executions"] == 4
 

@@ -268,9 +268,18 @@ class TestServiceRoundTrip:
             document = client.status(job_id)
         assert document["status"] == "failed" and document["error"]
 
-    def test_service_requires_a_store(self):
-        with pytest.raises(ValidationError):
-            ExperimentService(ServiceConfig(store=None))
+    @pytest.mark.parametrize(
+        "build, error",
+        [
+            pytest.param(lambda: ServiceConfig(store=None), ValidationError, id="no-store"),
+            pytest.param(
+                lambda: ServiceConfig(worker_mode="process"), ValueError, id="process-workers"
+            ),
+        ],
+    )
+    def test_service_rejects_config(self, build, error):
+        with pytest.raises(error):
+            ExperimentService(build())
 
     def test_second_daemon_on_same_queue_is_supported(self, tmp_path, store):
         """Scale-out: an accept-only daemon and a worker daemon share one
